@@ -115,6 +115,13 @@ def _schedule_from(d: dict) -> SamplingSchedule:
     return SamplingSchedule(tuple(float(t) for t in times), int(d["batch_size"]))
 
 
+def _is_count(value, low: int) -> bool:
+    """True for an integer (an integral float included, bool excluded) >= low."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return float(value).is_integer() and value >= low
+
+
 def _budget_limit(n_pairs: int) -> float:
     # Subensemble size is Binomial(N, 1/2); allow expectation minus 5 sigma.
     return n_pairs / 2.0 - 2.5 * math.sqrt(n_pairs)
@@ -151,8 +158,8 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
             if (low is None and any(v <= 0 for v in vals)) or \
                     (low is not None and any(v < low for v in vals)):
                 err(f"baseline.{key}", "values must be positive", grid)
-        if int(base.get("n_trials", 0)) < 1:
-            err("baseline.n_trials", ">= 1", base.get("n_trials"))
+        if not _is_count(base.get("n_trials"), 1):
+            err("baseline.n_trials", "an integer >= 1", base.get("n_trials"))
         return diags
 
     # quantum-protocol modes
@@ -181,8 +188,9 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
         if want == 2 and len(species) == 2 and species[0].get("omega") == species[1].get("omega"):
             err("species", "two distinct frequencies required", species[0].get("omega"))
 
-    if config.n_pairs < 1:
-        err("n_pairs", ">= 1", config.n_pairs)
+    n_pairs_ok = _is_count(config.n_pairs, 1)
+    if not n_pairs_ok:
+        err("n_pairs", "an integer >= 1", config.n_pairs)
 
     for name, sched in (("schedule", config.schedule),
                         ("bob_schedule", config.bob_schedule or config.schedule)):
@@ -190,15 +198,17 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
         if missing:
             err(name, f"missing keys {missing}", sched)
             continue
-        if sched["n_points"] < 3:
-            err(f"{name}.n_points", ">= 3 distinct times needed for a phase fit",
-                sched["n_points"])
+        counts_ok = True
+        for key, low, constraint in (
+                ("n_points", 3, "an integer >= 3 (distinct times needed for a phase fit)"),
+                ("batch_size", 1, "an integer >= 1")):
+            if not _is_count(sched[key], low):
+                err(f"{name}.{key}", constraint, sched[key])
+                counts_ok = False
         if sched["stop"] <= sched["start"]:
             err(f"{name}.stop", "> start", (sched["start"], sched["stop"]))
-        if sched["batch_size"] < 1:
-            err(f"{name}.batch_size", ">= 1", sched["batch_size"])
-        budget = sched.get("n_points", 0) * sched.get("batch_size", 0)
-        if config.n_pairs >= 1 and budget > _budget_limit(config.n_pairs):
+        budget = sched["n_points"] * sched["batch_size"] if counts_ok else 0
+        if n_pairs_ok and budget > _budget_limit(config.n_pairs):
             err(f"{name}", "n_points * batch_size within N/2 minus 5-sigma margin",
                 {"requested": budget, "limit": _budget_limit(config.n_pairs)})
 
@@ -209,15 +219,18 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
     if ch.get("base_delay", 0.0) < 0:
         err("channel.base_delay", ">= 0", ch.get("base_delay"))
 
-    if (config.delta is not None and config.bob_phase is not None
-            and not isinstance(config.delta, str)):
+    if isinstance(config.delta, str) and config.delta != "random":
+        err("delta", "a number, 'random', or null", config.delta)
+    elif config.delta == "random" and config.bob_phase is not None:
+        # a drawn delta cannot be known to agree with a fixed bob_phase
+        err("delta", "'random' excludes bob_phase (give one)",
+            {"delta": config.delta, "bob_phase": config.bob_phase})
+    elif config.delta is not None and config.bob_phase is not None:
         # both may appear in an echoed config, but only if they agree
         implied = normalize_phase(config.alice_phase - float(config.delta))
         if abs(implied - normalize_phase(config.bob_phase)) > 1e-9:
             err("delta", "delta and bob_phase disagree (give one, or consistent values)",
                 {"delta": config.delta, "bob_phase": config.bob_phase})
-    if isinstance(config.delta, str) and config.delta != "random":
-        err("delta", "a number, 'random', or null", config.delta)
 
     if config.mode == "time_origin" and not diags:
         to = config.time_origin

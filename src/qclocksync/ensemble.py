@@ -199,12 +199,13 @@ def alice_collapse_all(ensemble: Ensemble, t0: float, phi_a, rng: np.random.Gene
     # P(pos) = 1/2 for every pair of the generalized singlet, any basis phase;
     # verified against quantum.measure_dual in the test suite.
     is_type_i = draws < 0.5
-    ensemble.status[:] = np.where(is_type_i, TYPE_I, TYPE_II)
+    # TYPE_II - 1 = TYPE_I where Alice saw pos; int8 throughout, no wide temporary
+    ensemble.status[:] = TYPE_II - is_type_i.view(np.int8)
     ensemble.collapsed_type[:] = ensemble.status
     ensemble.t0 = float(t0)
     ensemble.collapse_phi = _as_phi(phi_a)
-    labels = ensemble.labels
-    return labels[is_type_i], labels[~is_type_i]
+    # label = index + 1, so the positions of each type are its labels
+    return np.flatnonzero(is_type_i) + 1, np.flatnonzero(~is_type_i) + 1
 
 
 class SubensembleHandle:
@@ -243,7 +244,9 @@ def select_subensemble(ensemble: Ensemble, labels, expected_type: str | None = N
     a party cannot locally verify Type I vs Type II, so expected_type is
     recorded for bookkeeping but never validated against the hidden types.
     """
-    labels = np.sort(np.asarray(labels, dtype=np.int64))
+    labels = np.asarray(labels, dtype=np.int64)
+    if not np.all(labels[1:] > labels[:-1]):  # both parties' label sets arrive sorted
+        labels = np.sort(labels)
     if labels.shape[0] == 0:
         return SubensembleHandle(ensemble, labels, expected_type)
     if labels[0] < 1 or labels[-1] > ensemble.n_pairs:

@@ -218,8 +218,12 @@ class SyncResult:
 def broadcast_labels(channel: ChannelModel, sender: PartyConfig, species: ClockSpecies,
                      labels, send_time_global: float, channel_rng: np.random.Generator,
                      transcript: Transcript | None = None) -> ClassicalMessage | None:
-    """Send a label list over the channel; returns the message or None if lost."""
-    labels = tuple(int(x) for x in labels)
+    """Send a label list over the channel; returns the message or None if lost.
+
+    The payload is the labels in the order given (Alice passes hers
+    ascending) as a tuple of plain Python ints.
+    """
+    labels = tuple(np.asarray(labels, dtype=np.int64).tolist())
     deliver_time = deliver(channel, send_time_global, channel_rng)
     if transcript is not None:
         transcript.record("send", send_time_global, sender=sender.party_id,
@@ -270,11 +274,14 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     """One full single-frequency synchronization run.
 
     Flow: Alice collapses every pair at her t=0, samples her Type-I
-    subensemble on her schedule, and broadcasts the Type-I labels. Bob
-    selects his Type-II subensemble once the message is delivered and samples
-    it on his (absolute, pre-agreed) schedule; scheduled times that precede
-    delivery cannot be measured and make the run inconclusive. Both parties
-    fit their clock phase against their own local timestamps.
+    subensemble on her schedule, and broadcasts the Type-I labels (ascending
+    plain ints). Once the message is delivered, Bob forms his Type-II
+    subensemble as the complement of those labels in 1..N: an O(N) boolean
+    mask with the broadcast labels cleared, whose surviving labels are
+    already ascending. He samples it on his (absolute, pre-agreed) schedule;
+    scheduled times that precede delivery cannot be measured and make the
+    run inconclusive. Both parties fit their clock phase against their own
+    local timestamps.
     """
     species = ensemble.species
     phi_a = alice.phase_for(species)
@@ -324,8 +331,11 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
                 queue.push(msg.deliver_time, "deliver", msg)
         elif kind == "deliver":
             msg = payload
-            # Bob derives his Type-II subset as the complement of the broadcast labels.
-            bob_type_ii = np.setdiff1d(ensemble.labels, np.asarray(msg.labels, dtype=np.int64))
+            # Bob derives his Type-II subset as the complement of the broadcast labels:
+            # clear their slots (label - 1) in an all-true mask, keep the rest in order.
+            keep = np.ones(ensemble.n_pairs, dtype=bool)
+            keep[np.fromiter(msg.labels, dtype=np.int64, count=len(msg.labels)) - 1] = False
+            bob_type_ii = np.flatnonzero(keep) + 1
             bob_handle = select_subensemble(ensemble, bob_type_ii, "type_ii")
             if transcript is not None:
                 transcript.record("deliver", t, species=species.name,

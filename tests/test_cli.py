@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from qclocksync.cli import main
-from qclocksync.config import load_config, resolve_config
+from qclocksync.config import load_config, resolve_config, validate_config
 
 BASE = {
     "mode": "single_frequency",
@@ -61,6 +61,24 @@ class TestValidate:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert [d["severity"] for d in report["diagnostics"]] == ["warning"]
+
+    @pytest.mark.parametrize("value", ["abc", 12.5, True])
+    def test_non_integer_n_pairs_reported(self, tmp_path, capsys, value):
+        code = main(["validate", _write(tmp_path, {"n_pairs": value})])
+        assert code == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == ["n_pairs"]
+
+    @pytest.mark.parametrize("key,value", [("n_points", 12.5), ("batch_size", "many")])
+    def test_non_integer_schedule_counts_reported(self, tmp_path, capsys, key, value):
+        path = _write(tmp_path, {"schedule": {**BASE["schedule"], key: value}})
+        assert main(["validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        fields = {d["field"] for d in report["diagnostics"]}
+        assert fields == {f"schedule.{key}", f"bob_schedule.{key}"}
+
+    def test_integral_float_n_pairs_accepted(self, tmp_path, capsys):
+        assert main(["validate", _write(tmp_path, {"n_pairs": 12000.0})]) == 0
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         path = _write(tmp_path, {"frobnicate": 1})
@@ -118,6 +136,36 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", path, "-o", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["abc", 12.5])
+    def test_non_integer_n_pairs_exits_1(self, tmp_path, capsys, value):
+        out = tmp_path / "out"
+        assert main(["run", _write(tmp_path, {"n_pairs": value}), "-o", str(out)]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in record["diagnostics"]] == ["n_pairs"]
+        assert not out.exists()
+
+    def test_random_delta_with_bob_phase_exits_1(self, tmp_path, capsys):
+        path = _write(tmp_path, {"delta": "random", "bob_phase": 0.3})
+        out = tmp_path / "out"
+        assert main(["run", path, "-o", str(out)]) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in record["diagnostics"]] == ["delta"]
+        assert not out.exists()
+
+    def test_random_delta_echo_reloads(self, tmp_path):
+        path = _write(tmp_path, {"delta": "random",
+                                 "seeds": {"quantum": 5, "channel": 6, "delta": 77}})
+        out1 = tmp_path / "o1"
+        assert main(["run", path, "-o", str(out1)]) == 0
+        echoed = load_config(out1 / "config_echo.yaml")
+        assert isinstance(echoed.delta, float)
+        assert validate_config(echoed) == []
+        echoed.output_dir = None
+        out2 = tmp_path / "o2"
+        assert main(["run", _write(tmp_path, echoed.to_dict(), "echo.yaml"),
+                     "-o", str(out2)]) == 0
+        assert _read_artifacts(out1)["result.json"] == _read_artifacts(out2)["result.json"]
 
     def test_no_sync_exits_3(self, tmp_path, capsys):
         path = _write(tmp_path, {"channel": {"loss_probability": 1.0}})
@@ -185,6 +233,17 @@ class TestBaselineMode:
         assert cells[0]["rms_error_es"] < cells[1]["rms_error_es"]
         text = (out / "baseline.csv").read_text()
         assert "sigma,distance,rms_error_es,rms_error_qcs,n_trials" in text
+
+    @pytest.mark.parametrize("value", ["abc", 12.5])
+    def test_non_integer_n_trials_rejected(self, tmp_path, capsys, value):
+        path = _write(tmp_path, {
+            "mode": "baseline_sweep",
+            "baseline": {"sigma_grid": [1e-6], "distance_grid": [1e3],
+                         "n_trials": value},
+        })
+        assert main(["validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == ["baseline.n_trials"]
 
     def test_string_grid_values_rejected(self, tmp_path, capsys):
         path = _write(tmp_path, {

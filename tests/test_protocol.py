@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qclocksync import protocol
 from qclocksync.channels import ChannelModel
 from qclocksync.ensemble import SamplingSchedule, create_ensemble
 from qclocksync.errors import ConfigError, ProtocolOrderError
@@ -180,6 +181,90 @@ class TestTranscript:
         assert msg.deliver_time == 0.0
         with pytest.raises(ValueError):
             ClassicalMessage("A", "cs", (1,), send_time=1.0, deliver_time=0.5)
+
+
+class _AllTypeI:
+    """Quantum stream whose every draw is 0: all pairs collapse to Type I."""
+
+    def random(self, n):
+        return np.zeros(n)
+
+
+class TestLabelPath:
+    def _capture(self, monkeypatch):
+        """Record every handle run_single_frequency selects and every message it sends."""
+        handles, messages = {}, []
+        select, broadcast = protocol.select_subensemble, protocol.broadcast_labels
+
+        def spy_select(ensemble, labels, expected_type=None):
+            handles[expected_type] = handle = select(ensemble, labels, expected_type)
+            return handle
+
+        def spy_broadcast(*args):
+            msg = broadcast(*args)
+            messages.append(msg)
+            return msg
+
+        monkeypatch.setattr(protocol, "select_subensemble", spy_select)
+        monkeypatch.setattr(protocol, "broadcast_labels", spy_broadcast)
+        return handles, messages
+
+    def test_bob_holds_ascending_complement_of_broadcast(self, monkeypatch):
+        handles, messages = self._capture(monkeypatch)
+        result, *_ = _run(n_pairs=12_001, channel=ChannelModel(base_delay=0.05),
+                          bob_shift=1.0)
+        assert result.status == "ok"
+        alice_labels = handles["type_i"].labels
+        bob_labels = handles["type_ii"].labels
+        (msg,) = messages
+        assert msg.labels == tuple(alice_labels.tolist())
+        assert all(type(x) is int for x in msg.labels)
+        expected = np.setdiff1d(np.arange(1, 12_002), alice_labels)
+        assert bob_labels.dtype == np.int64
+        assert np.array_equal(bob_labels, expected)
+        assert np.all(np.diff(bob_labels) > 0)
+        assert alice_labels.size + bob_labels.size == 12_001
+
+    def test_empty_complement(self, monkeypatch):
+        handles, messages = self._capture(monkeypatch)
+        alice, bob = _parties()
+        ens = create_ensemble(50, CS)
+        result = run_single_frequency(ens, alice, bob, IDEAL,
+                                      _schedules(n_points=3, batch=10),
+                                      _AllTypeI(), np.random.default_rng(0))
+        assert np.array_equal(handles["type_i"].labels, np.arange(1, 51))
+        assert messages[0].labels == tuple(range(1, 51))
+        assert handles["type_ii"].size == 0
+        assert handles["type_ii"].labels.dtype == np.int64
+        # Bob has nothing to measure
+        assert result.status == "inconclusive"
+        assert result.reason == "budget_exhausted"
+
+    def test_fixed_seed_run_is_pinned(self):
+        # Values produced by the setdiff1d-based complement this path replaced;
+        # any change to the quantum or channel random stream breaks them.
+        alice, bob = _parties(delta=0.7)
+        times = tuple(np.linspace(0.1, 4.0, 20))
+        schedules = ProtocolSchedules(
+            alice=SamplingSchedule(times, 4000),
+            bob=SamplingSchedule(tuple(t + 1.0 for t in times), 4000))
+        result = run_single_frequency(
+            create_ensemble(200_000, CS), alice, bob,
+            ChannelModel(base_delay=0.05, jitter_sigma=0.01), schedules,
+            np.random.default_rng(2024), np.random.default_rng(2025))
+        out = result.species_outcomes["cs"]
+        assert result.status == "ok"
+        assert (out.n_type_i, out.n_type_ii) == (100011, 99989)
+        assert out.alice_phase.phase == 6.279028665414436
+        assert out.alice_phase.sigma == 0.003785990587622775
+        assert out.bob_phase.phase == 0.7021025004551277
+        assert out.bob_phase.sigma == 0.003732232597596757
+        assert out.alice_series.count_pos.tolist() == [
+            3959, 3648, 3054, 2367, 1419, 734, 232, 4, 109, 555,
+            1227, 1991, 2808, 3445, 3895, 3992, 3777, 3287, 2492, 1750]
+        assert out.bob_series.count_pos.tolist() == [
+            59, 25, 334, 886, 1690, 2543, 3179, 3724, 3994, 3895,
+            3508, 2815, 2028, 1244, 609, 133, 3, 209, 719, 1407]
 
 
 TF_SPECIES = (ClockSpecies("tone1", 2.0), ClockSpecies("tone2", 2.2))

@@ -56,7 +56,6 @@ class MediumModel:
     distance: float  # meters
     mean_index: float = 1.0
     index_fluctuation_sigma: float = 0.0
-    correlation_time: float = 0.0  # reserved for a future correlated model
 
     def __post_init__(self):
         if self.distance <= 0.0:

@@ -96,10 +96,7 @@ class ScenarioConfig:
         return cfg
 
     def to_dict(self) -> dict:
-        out = {}
-        for name in self.__dataclass_fields__:
-            out[name] = getattr(self, name)
-        return out
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 def load_config(path) -> ScenarioConfig:
@@ -194,10 +191,17 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
 
     for name, sched in (("schedule", config.schedule),
                         ("bob_schedule", config.bob_schedule or config.schedule)):
+        if not isinstance(sched, dict):
+            err(name, "a mapping with start, stop, n_points, batch_size", sched)
+            continue
         missing = [k for k in ("start", "stop", "n_points", "batch_size") if k not in sched]
         if missing:
             err(name, f"missing keys {missing}", sched)
             continue
+        bad_bounds = [k for k in ("start", "stop") if isinstance(sched[k], bool)
+                      or not isinstance(sched[k], (int, float)) or not math.isfinite(sched[k])]
+        for key in bad_bounds:
+            err(f"{name}.{key}", "a finite number", sched[key])
         counts_ok = True
         for key, low, constraint in (
                 ("n_points", 3, "an integer >= 3 (distinct times needed for a phase fit)"),
@@ -205,7 +209,7 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
             if not _is_count(sched[key], low):
                 err(f"{name}.{key}", constraint, sched[key])
                 counts_ok = False
-        if sched["stop"] <= sched["start"]:
+        if not bad_bounds and sched["stop"] <= sched["start"]:
             err(f"{name}.stop", "> start", (sched["start"], sched["stop"]))
         budget = sched["n_points"] * sched["batch_size"] if counts_ok else 0
         if n_pairs_ok and budget > _budget_limit(config.n_pairs):
@@ -213,11 +217,15 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
                 {"requested": budget, "limit": _budget_limit(config.n_pairs)})
 
     ch = config.channel or {}
-    if ch.get("loss_probability", 0.0) >= 1.0:
-        warn("channel.loss_probability", "< 1 (protocol will always abort)",
-             ch.get("loss_probability"))
-    if ch.get("base_delay", 0.0) < 0:
-        err("channel.base_delay", ">= 0", ch.get("base_delay"))
+    try:
+        # the channel rules live in ChannelModel alone
+        channel = ChannelModel(**ch)
+    except (TypeError, ValueError) as exc:
+        err("channel", str(exc), ch)
+    else:
+        if channel.loss_probability >= 1.0:
+            warn("channel.loss_probability", "< 1 (protocol will always abort)",
+                 channel.loss_probability)
 
     if isinstance(config.delta, str) and config.delta != "random":
         err("delta", "a number, 'random', or null", config.delta)
@@ -270,13 +278,22 @@ def resolve_config(config: ScenarioConfig) -> ScenarioConfig:
     return resolved
 
 
-def _build_parties(config: ScenarioConfig, species: list[ClockSpecies]):
+def _protocol_setup(config: ScenarioConfig):
+    """Species, parties, schedules and channel of a resolved quantum-mode config."""
+    species = [ClockSpecies(s["name"], float(s["omega"])) for s in config.species]
     names = [s.name for s in species]
     alice = PartyConfig("A", {n: config.alice_phase for n in names},
                         config.alice_clock_offset)
     bob = PartyConfig("B", {n: config.bob_phase for n in names},
                       config.bob_clock_offset)
-    return alice, bob
+    schedules = ProtocolSchedules(
+        alice=_schedule_from(config.schedule),
+        bob=_schedule_from(config.bob_schedule),
+        collapse_time=float(config.collapse_time),
+        send_time=float(config.send_time),
+    )
+    channel = ChannelModel(**(config.channel or {}))
+    return species, alice, bob, schedules, channel
 
 
 def _header(config: ScenarioConfig) -> str:
@@ -344,15 +361,7 @@ def _write_series(out_dir: str, config: ScenarioConfig, result: SyncResult) -> N
 
 
 def _run_quantum_mode(config: ScenarioConfig, out_dir: str) -> tuple[dict, str]:
-    species = [ClockSpecies(s["name"], float(s["omega"])) for s in config.species]
-    alice, bob = _build_parties(config, species)
-    schedules = ProtocolSchedules(
-        alice=_schedule_from(config.schedule),
-        bob=_schedule_from(config.bob_schedule),
-        collapse_time=float(config.collapse_time),
-        send_time=float(config.send_time),
-    )
-    channel = ChannelModel(**(config.channel or {}))
+    species, alice, bob, schedules, channel = _protocol_setup(config)
     qrng = np.random.default_rng(int(config.seeds["quantum"]))
     crng = np.random.default_rng(int(config.seeds["channel"]))
     transcript = Transcript()
@@ -445,13 +454,8 @@ def _qcs_rms(raw: dict, medium: MediumModel, n_seeds: int,
                          "stop": sched["stop"] + margin}
     cell = resolve_config(cell)
 
-    species = ClockSpecies(cell.species[0]["name"], float(cell.species[0]["omega"]))
-    alice, bob = _build_parties(cell, [species])
-    schedules = ProtocolSchedules(alice=_schedule_from(cell.schedule),
-                                  bob=_schedule_from(cell.bob_schedule),
-                                  collapse_time=float(cell.collapse_time),
-                                  send_time=float(cell.send_time))
-    channel = ChannelModel(**cell.channel)
+    all_species, alice, bob, schedules, channel = _protocol_setup(cell)
+    species = all_species[0]
     errs = []
     children = np.random.SeedSequence(quantum_seed).spawn(n_seeds)
     for i in range(n_seeds):

@@ -1,10 +1,12 @@
 """Labelled ensembles of entangled pre-clock pairs.
 
-Lifecycle per pair: EntangledIdle -> (TypeI | TypeII) at Alice's simultaneous
-collapse, then Consumed by a single destructive batch measurement. Outcome
-sampling uses the closed-form single-pair distribution (verified against the
-state-vector machinery in the test suite) so that million-pair ensembles cost
-O(1) memory per pair.
+Lifecycle per pair: entangled and idle until Alice's simultaneous collapse
+makes it Type I or Type II, then consumed by a single destructive batch
+measurement. An ensemble keeps this as two per-pair boolean masks: the Type-I
+mask (None until the collapse) and the consumed mask. Outcome sampling uses
+the closed-form single-pair distribution (verified against the state-vector
+machinery in the test suite) so that million-pair ensembles cost O(1) memory
+per pair.
 """
 
 from __future__ import annotations
@@ -18,24 +20,9 @@ import numpy as np
 from .errors import BudgetError, ProtocolOrderError
 from .quantum import BasisPhase, ClockSpecies, _as_phi
 
-# pair lifecycle codes
-IDLE = 0
+# collapsed pair types, as pos_probability takes them
 TYPE_I = 1
 TYPE_II = 2
-CONSUMED = 3
-
-_STATE_NAMES = {IDLE: "idle", TYPE_I: "type_i", TYPE_II: "type_ii", CONSUMED: "consumed"}
-
-
-@dataclass(frozen=True)
-class PreClockPair:
-    """Read-only snapshot of one pair's lifecycle state."""
-
-    label: int
-    species: ClockSpecies
-    state: str
-    collapsed_type: str | None  # 'type_i'/'type_ii' once collapsed, kept after consumption
-    t0: float | None
 
 
 @dataclass(frozen=True)
@@ -140,6 +127,10 @@ def _fmt_count(x: float) -> str:
 class Ensemble:
     """An ordered collection of pre-clock pairs sharing one species and eta.
 
+    Pair label l sits at index l - 1 of the type_i mask (None while the pairs
+    are idle, True for Type I after Alice's collapse at epoch t0) and of the
+    consumed mask, which marks the pairs a batch measurement has used up.
+
     Owned by one party's state machine at a time; operations on a single
     ensemble are serialized by the caller.
     """
@@ -150,8 +141,8 @@ class Ensemble:
         self.n_pairs = int(n_pairs)
         self.species = species
         self.eta = float(eta)
-        self.status = np.full(self.n_pairs, IDLE, dtype=np.int8)
-        self.collapsed_type = np.zeros(self.n_pairs, dtype=np.int8)  # TYPE_I/TYPE_II once set
+        self.type_i: np.ndarray | None = None
+        self.consumed = np.zeros(self.n_pairs, dtype=bool)
         self.t0 = math.nan  # shared collapse epoch (global time)
         self.collapse_phi = math.nan  # Alice's basis phase at collapse
 
@@ -159,24 +150,6 @@ class Ensemble:
     def labels(self) -> np.ndarray:
         """Pair labels 1..n, known identically to both parties."""
         return np.arange(1, self.n_pairs + 1)
-
-    def pair(self, label: int) -> PreClockPair:
-        idx = self._index(label)
-        status = int(self.status[idx])
-        ctype = int(self.collapsed_type[idx])
-        return PreClockPair(
-            label=int(label),
-            species=self.species,
-            state=_STATE_NAMES[status],
-            collapsed_type=_STATE_NAMES[ctype] if ctype else None,
-            t0=self.t0 if status != IDLE else None,
-        )
-
-    def _index(self, label) -> int:
-        label = int(label)
-        if not (1 <= label <= self.n_pairs):
-            raise KeyError(f"unknown pair label {label}")
-        return label - 1
 
 
 def create_ensemble(n_pairs: int, species: ClockSpecies, eta: float = 0.0) -> Ensemble:
@@ -191,21 +164,20 @@ def alice_collapse_all(ensemble: Ensemble, t0: float, phi_a, rng: np.random.Gene
     with probability 1/2 each, one uniform draw per pair in label order.
     Returns (type_i_labels, type_ii_labels).
     """
-    if np.any(ensemble.status != IDLE):
+    if ensemble.type_i is not None:
         raise ProtocolOrderError("ensemble already collapsed (pairs are not all idle)")
     if not math.isfinite(t0):
         raise ValueError("t0 must be finite")
-    draws = rng.random(ensemble.n_pairs)
+    # The kept mask is allocated before the 8-byte draws: freed after it, the
+    # draws leave no heap hole below a live array to raise the peak RSS.
+    type_i = np.empty(ensemble.n_pairs, dtype=bool)
     # P(pos) = 1/2 for every pair of the generalized singlet, any basis phase;
     # verified against quantum.measure_dual in the test suite.
-    is_type_i = draws < 0.5
-    # TYPE_II - 1 = TYPE_I where Alice saw pos; int8 throughout, no wide temporary
-    ensemble.status[:] = TYPE_II - is_type_i.view(np.int8)
-    ensemble.collapsed_type[:] = ensemble.status
+    ensemble.type_i = np.less(rng.random(ensemble.n_pairs), 0.5, out=type_i)
     ensemble.t0 = float(t0)
     ensemble.collapse_phi = _as_phi(phi_a)
     # label = index + 1, so the positions of each type are its labels
-    return np.flatnonzero(is_type_i) + 1, np.flatnonzero(~is_type_i) + 1
+    return np.flatnonzero(ensemble.type_i) + 1, np.flatnonzero(~ensemble.type_i) + 1
 
 
 class SubensembleHandle:
@@ -240,9 +212,10 @@ class SubensembleHandle:
 def select_subensemble(ensemble: Ensemble, labels, expected_type: str | None = None) -> SubensembleHandle:
     """Handle over the named pairs, in ascending label order.
 
-    Only lifecycle is checked (pairs must be collapsed and unconsumed):
-    a party cannot locally verify Type I vs Type II, so expected_type is
-    recorded for bookkeeping but never validated against the hidden types.
+    Only lifecycle is checked (pairs must be collapsed; sample_batch rejects
+    consumed ones): a party cannot locally verify Type I vs Type II, so
+    expected_type is recorded for bookkeeping but never validated against the
+    hidden types.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if not np.all(labels[1:] > labels[:-1]):  # both parties' label sets arrive sorted
@@ -252,8 +225,7 @@ def select_subensemble(ensemble: Ensemble, labels, expected_type: str | None = N
     if labels[0] < 1 or labels[-1] > ensemble.n_pairs:
         bad = labels[0] if labels[0] < 1 else labels[-1]
         raise KeyError(f"unknown pair label {int(bad)}")
-    idx = labels - 1
-    if np.any(ensemble.status[idx] == IDLE):
+    if ensemble.type_i is None:
         raise ProtocolOrderError("subensemble selection requires collapsed pairs")
     return SubensembleHandle(ensemble, labels, expected_type)
 
@@ -288,20 +260,19 @@ def sample_batch(handle: SubensembleHandle, t: float, batch_size: int,
     ens = handle.ensemble
     labels = handle._take(batch_size)
     idx = labels - 1
-    status = ens.status[idx]
-    if np.any(status == IDLE):
+    if ens.type_i is None:
         raise ProtocolOrderError("cannot sample an idle pair")
-    if np.any(status == CONSUMED):
+    if np.any(ens.consumed[idx]):
         raise ProtocolOrderError("cannot sample a consumed pair")
     phi_meas = _as_phi(phi)
     tau = float(t) - ens.t0
     omega = ens.species.omega
     p_i = pos_probability(party, TYPE_I, omega, tau, ens.collapse_phi, ens.eta, phi_meas)
     p_ii = pos_probability(party, TYPE_II, omega, tau, ens.collapse_phi, ens.eta, phi_meas)
-    p = np.where(status == TYPE_I, p_i, p_ii)
+    p = np.where(ens.type_i[idx], p_i, p_ii)
     draws = rng.random(labels.shape[0])
     n_pos = int(np.count_nonzero(draws < p))
-    ens.status[idx] = CONSUMED
+    ens.consumed[idx] = True
     return n_pos, int(labels.shape[0])
 
 

@@ -1,11 +1,12 @@
 """Alice/Bob state machines and protocol orchestration.
 
-The orchestrator is a single-threaded deterministic event loop: events are
-committed in (time, sequence) order, so identical seeds and configuration
-reproduce identical transcripts bit for bit. Party logic never reads the
-other party's configuration; hidden truths (clock offsets, the basis-phase
-offset) are consulted only by the scoring helpers at the bottom, which a
-real deployment would not have.
+The orchestrator walks one event list sorted by (time, kind priority): the
+collapse, the send and every scheduled sample are sorted once up front, and
+the one delivery is inserted in order once the channel sets its time. So
+identical seeds and configuration reproduce identical transcripts bit for
+bit. Party logic never reads the other party's configuration; hidden truths
+(clock offsets, the basis-phase offset) are consulted only by the scoring
+helpers at the bottom, which a real deployment would not have.
 
 Two independent rng streams are used: quantum draws (collapse outcomes and
 measurement outcomes) and channel draws (loss/jitter). Holding the quantum
@@ -16,7 +17,7 @@ test.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -134,13 +135,11 @@ class Transcript:
 
     def __init__(self):
         self.records: list[dict] = []
-        self._seq = 0
 
     def record(self, kind: str, time: float, **fields) -> None:
-        rec = {"seq": self._seq, "time": float(time), "kind": kind}
+        rec = {"seq": len(self.records), "time": float(time), "kind": kind}
         rec.update(fields)
         self.records.append(rec)
-        self._seq += 1
 
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
@@ -237,33 +236,16 @@ def broadcast_labels(channel: ChannelModel, sender: PartyConfig, species: ClockS
                             send_time=send_time_global, deliver_time=deliver_time)
 
 
-class _EventQueue:
-    """Min-heap keyed by (time, kind priority, sequence).
+# Priority of simultaneous events: a collapse precedes the send and any
+# sampling at the same instant, a delivery precedes Bob's measurement at the
+# same instant. Events of one kind never tie (schedule times are strictly
+# increasing, every other kind occurs once per run), and the stable sort would
+# keep schedule order if they did.
+_PRIORITY = {"collapse": 0, "send": 1, "deliver": 2, "alice_sample": 3, "bob_sample": 4}
 
-    The kind priority fixes the semantics of simultaneous events (a collapse
-    precedes sampling at the same instant, a delivery precedes Bob's
-    measurement at the same instant); the sequence number makes the remaining
-    order deterministic.
-    """
 
-    _PRIORITY = {"collapse": 0, "send": 1, "deliver": 2, "alice_sample": 3,
-                 "bob_sample": 4}
-
-    def __init__(self):
-        self._heap: list = []
-        self._seq = 0
-
-    def push(self, time: float, kind: str, payload=None) -> None:
-        heapq.heappush(self._heap,
-                       (float(time), self._PRIORITY[kind], self._seq, kind, payload))
-        self._seq += 1
-
-    def pop(self):
-        time, _prio, seq, kind, payload = heapq.heappop(self._heap)
-        return time, seq, kind, payload
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+def _event(time: float, kind: str, payload=None) -> tuple:
+    return (float(time), _PRIORITY[kind], kind, payload)
 
 
 def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfig,
@@ -287,18 +269,11 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     phi_a = alice.phase_for(species)
     phi_b = bob.phase_for(species)
 
-    t0_g = alice.to_global(schedules.collapse_time)
-    send_g = alice.to_global(schedules.send_time)
-    alice_times_g = [alice.to_global(t) for t in schedules.alice.times]
-    bob_times_g = [bob.to_global(t) for t in schedules.bob.times]
-
-    queue = _EventQueue()
-    queue.push(t0_g, "collapse")
-    queue.push(send_g, "send")
-    for i, t in enumerate(alice_times_g):
-        queue.push(t, "alice_sample", i)
-    for i, t in enumerate(bob_times_g):
-        queue.push(t, "bob_sample", i)
+    events = sorted(
+        [_event(alice.to_global(schedules.collapse_time), "collapse"),
+         _event(alice.to_global(schedules.send_time), "send")]
+        + [_event(alice.to_global(t), "alice_sample") for t in schedules.alice.times]
+        + [_event(bob.to_global(t), "bob_sample") for t in schedules.bob.times])
 
     outcome = SpeciesOutcome(species=species)
     alice_handle: SubensembleHandle | None = None
@@ -310,8 +285,10 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     a_counts: list[tuple[float, int, int]] = []
     b_counts: list[tuple[float, int, int]] = []
 
-    while queue:
-        t, _seq, kind, payload = queue.pop()
+    pos = 0
+    while pos < len(events):
+        t, _priority, kind, payload = events[pos]
+        pos += 1
         if kind == "collapse":
             type_i_labels, type_ii_labels = alice_collapse_all(ensemble, t, phi_a, quantum_rng)
             outcome.n_type_i = int(type_i_labels.shape[0])
@@ -328,7 +305,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
             if msg is None:
                 lost = True
             else:
-                queue.push(msg.deliver_time, "deliver", msg)
+                bisect.insort(events, _event(msg.deliver_time, "deliver", msg), lo=pos)
         elif kind == "deliver":
             msg = payload
             # Bob derives his Type-II subset as the complement of the broadcast labels:
@@ -371,8 +348,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     def build_series(counts, party: PartyConfig) -> PopulationSeries | None:
         if not counts:
             return None
-        times_g = [c[0] for c in counts]
-        return PopulationSeries([party.to_local(t) for t in times_g],
+        return PopulationSeries([party.to_local(c[0]) for c in counts],
                                 [c[1] for c in counts],
                                 [c[2] - c[1] for c in counts],
                                 [c[2] for c in counts])

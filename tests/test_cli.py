@@ -69,13 +69,34 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert [d["field"] for d in report["diagnostics"]] == ["n_pairs"]
 
-    @pytest.mark.parametrize("key,value", [("n_points", 12.5), ("batch_size", "many")])
+    # start/stop must be finite numbers, the counts integers
+    @pytest.mark.parametrize("key,value", [("n_points", 12.5), ("batch_size", "many"),
+                                           ("start", "a"), ("stop", float("nan")),
+                                           ("stop", float("inf"))])
     def test_non_integer_schedule_counts_reported(self, tmp_path, capsys, key, value):
         path = _write(tmp_path, {"schedule": {**BASE["schedule"], key: value}})
         assert main(["validate", path]) == 1
         report = json.loads(capsys.readouterr().out)
         fields = {d["field"] for d in report["diagnostics"]}
         assert fields == {f"schedule.{key}", f"bob_schedule.{key}"}
+
+    @pytest.mark.parametrize("schedule", [None, "0.1..4.0"])
+    def test_non_mapping_schedule_reported(self, tmp_path, capsys, schedule):
+        assert main(["validate", _write(tmp_path, {"schedule": schedule})]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert {d["field"] for d in report["diagnostics"]} == {"schedule", "bob_schedule"}
+
+    @pytest.mark.parametrize("channel", [
+        {"correlation_time": 1.0},
+        {"jitter_sigma": -0.1},
+        {"loss_probability": 1.5},
+    ], ids=["unknown-key", "negative-jitter", "loss-above-1"])
+    def test_bad_channel_reported(self, tmp_path, capsys, channel):
+        path = _write(tmp_path, {"channel": channel})
+        assert main(["validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == ["channel"]
+        assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
 
     def test_integral_float_n_pairs_accepted(self, tmp_path, capsys):
         assert main(["validate", _write(tmp_path, {"n_pairs": 12000.0})]) == 0

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from qclocksync.ensemble import (
-    CONSUMED,
-    IDLE,
     TYPE_I,
     TYPE_II,
     Ensemble,
@@ -41,21 +39,20 @@ def _collapsed(n=100, eta=0.0, t0=0.0, phi_a=0.0, seed=1):
 class TestLifecycle:
     def test_fresh_ensemble_is_all_idle(self):
         ens = create_ensemble(5, CS)
-        assert np.all(ens.status == IDLE)
+        assert ens.type_i is None
+        assert not ens.consumed.any()
         assert list(ens.labels) == [1, 2, 3, 4, 5]
-        snap = ens.pair(3)
-        assert snap.state == "idle"
-        assert snap.collapsed_type is None
-        assert snap.t0 is None
+        assert math.isnan(ens.t0)
 
     def test_collapse_partitions_labels(self):
         ens, t1, t2 = _collapsed(n=1000)
         assert len(t1) + len(t2) == 1000
         assert set(t1).isdisjoint(t2)
-        assert np.all(ens.status[np.asarray(t1) - 1] == TYPE_I)
-        assert np.all(ens.status[np.asarray(t2) - 1] == TYPE_II)
-        assert ens.pair(int(t1[0])).collapsed_type == "type_i"
-        assert ens.pair(int(t2[0])).t0 == 0.0
+        assert ens.type_i.dtype == bool and ens.type_i.shape == (1000,)
+        assert np.all(ens.type_i[np.asarray(t1) - 1])
+        assert not np.any(ens.type_i[np.asarray(t2) - 1])
+        assert not ens.consumed.any()
+        assert ens.t0 == 0.0
 
     def test_collapse_split_is_balanced(self):
         _, t1, t2 = _collapsed(n=100_000, seed=5)
@@ -74,11 +71,12 @@ class TestLifecycle:
         np.testing.assert_array_equal(a2, b2)
 
     def test_unknown_label_rejected(self):
+        # the label range is checked before the collapse is
         ens = create_ensemble(4, CS)
         with pytest.raises(KeyError):
-            ens.pair(0)
+            select_subensemble(ens, [0])
         with pytest.raises(KeyError):
-            ens.pair(5)
+            select_subensemble(ens, [5])
 
 
 class TestSelection:
@@ -105,6 +103,8 @@ class TestSelection:
         ens, _, _ = _collapsed(n=10)
         with pytest.raises(KeyError):
             select_subensemble(ens, [3, 11])
+        with pytest.raises(KeyError):
+            select_subensemble(ens, [0, 3])
 
 
 class TestSampling:
@@ -116,7 +116,8 @@ class TestSampling:
         assert n == 10
         assert 0 <= n_pos <= 10
         consumed = handle.labels[:10]
-        assert np.all(ens.status[consumed - 1] == CONSUMED)
+        assert np.all(ens.consumed[consumed - 1])
+        assert np.count_nonzero(ens.consumed) == 10
         assert handle.remaining == handle.size - 10
 
     def test_consumed_pairs_cannot_be_resampled(self):

@@ -111,9 +111,15 @@ class TestSingleFrequency:
         times = tuple(np.linspace(0.0, 4.0, 12))
         schedules = ProtocolSchedules(alice=SamplingSchedule(times, 400),
                                       bob=SamplingSchedule(times, 400))
+        transcript = Transcript()
         result = run_single_frequency(ens, alice, bob, IDEAL, schedules,
-                                      np.random.default_rng(1), np.random.default_rng(2))
+                                      np.random.default_rng(1), np.random.default_rng(2),
+                                      transcript)
         assert result.status == "ok"
+        first = [(r["time"], r["kind"], r.get("party")) for r in transcript.records[:5]]
+        assert first == [(0.0, "collapse", None), (0.0, "send", None),
+                         (0.0, "deliver", None), (0.0, "sample", "A"),
+                         (0.0, "sample", "B")]
 
 
 class TestDeterminismAndChannelIndependence:
@@ -265,6 +271,29 @@ class TestLabelPath:
         assert out.bob_series.count_pos.tolist() == [
             59, 25, 334, 886, 1690, 2543, 3179, 3724, 3994, 3895,
             3508, 2815, 2028, 1244, 609, 133, 3, 209, 719, 1407]
+
+
+    def test_fixed_seed_time_origin_run_is_pinned(self):
+        # Both species draw from one quantum stream and write one transcript;
+        # values taken before the event loop and the pair state were rewritten.
+        alice = PartyConfig("A", {"tone1": 0.9, "tone2": 0.9})
+        bob = PartyConfig("B", {"tone1": 0.5, "tone2": 0.5})
+        ensembles = (create_ensemble(20_000, ClockSpecies("tone1", 2.0)),
+                     create_ensemble(20_000, ClockSpecies("tone2", 2.2)))
+        times = tuple(np.linspace(0.05, 20.0, 60))
+        schedules = ProtocolSchedules(alice=SamplingSchedule(times, 150),
+                                      bob=SamplingSchedule(times, 150))
+        transcript = Transcript()
+        cfg = TimeOriginConfig(omega1=2.0, delta_omega=0.2, protocol_duration_T=7.0)
+        result = establish_time_origin(
+            cfg, ensembles, alice, bob, ChannelModel(base_delay=0.01), schedules,
+            np.random.default_rng(31), np.random.default_rng(32), transcript)
+        assert result.status == "ok"
+        assert result.t_origin_a == 15.786205646991162
+        assert result.t_origin_b == 15.878283604898135
+        assert result.species_outcomes["tone1"].n_type_i == 9981
+        assert result.species_outcomes["tone2"].n_type_i == 10100
+        assert len(transcript.records) == 246
 
 
 TF_SPECIES = (ClockSpecies("tone1", 2.0), ClockSpecies("tone2", 2.2))

@@ -25,10 +25,12 @@ class ChannelModel:
     loss_probability: float = 0.0
 
     def __post_init__(self):
-        if self.base_delay < 0.0:
-            raise ValueError("base_delay must be >= 0")
-        if self.jitter_sigma < 0.0:
-            raise ValueError("jitter_sigma must be >= 0")
+        # isfinite rejects NaN, which would deliver at the send time
+        # (max(0.0, nan) is 0.0)
+        if not (self.base_delay >= 0.0 and math.isfinite(self.base_delay)):
+            raise ValueError("base_delay must be a finite number >= 0")
+        if not (self.jitter_sigma >= 0.0 and math.isfinite(self.jitter_sigma)):
+            raise ValueError("jitter_sigma must be a finite number >= 0")
         if not (0.0 <= self.loss_probability <= 1.0):
             raise ValueError("loss_probability must lie in [0, 1]")
 
@@ -58,12 +60,15 @@ class MediumModel:
     index_fluctuation_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.distance <= 0.0:
-            raise ValueError("distance must be > 0")
-        if self.mean_index < 1.0:
-            raise ValueError("mean_index must be >= 1")
-        if self.index_fluctuation_sigma < 0.0:
-            raise ValueError("index_fluctuation_sigma must be >= 0")
+        # NaN and inf fail too: es_rms_error's np.maximum would pass a NaN
+        # index on, where einstein_sync's max(1.0, nan) gives 1.0
+        if not (self.distance > 0.0 and math.isfinite(self.distance)):
+            raise ValueError("distance must be a finite number > 0")
+        if not (self.mean_index >= 1.0 and math.isfinite(self.mean_index)):
+            raise ValueError("mean_index must be a finite number >= 1")
+        sigma = self.index_fluctuation_sigma
+        if not (sigma >= 0.0 and math.isfinite(sigma)):
+            raise ValueError("index_fluctuation_sigma must be a finite number >= 0")
 
 
 @dataclass(frozen=True)
@@ -96,8 +101,24 @@ def einstein_sync(medium: MediumModel, rng: np.random.Generator,
 
 def es_rms_error(medium: MediumModel, n_trials: int, rng: np.random.Generator,
                  true_offset: float = 0.0) -> float:
-    """RMS midpoint-rule error over n_trials independent exchanges."""
-    errs = np.empty(n_trials)
-    for i in range(n_trials):
-        errs[i] = einstein_sync(medium, rng, true_offset).error
-    return float(np.sqrt(np.mean(errs**2)))
+    """RMS midpoint-rule error over n_trials independent exchanges.
+
+    Array form of n_trials calls to einstein_sync: it draws the same normals
+    from rng (column 0 the forward leg, column 1 the return leg) and applies
+    the same IEEE operations in the same order, so the result and the state
+    rng is left in are bit-identical to the per-trial loop. The arithmetic
+    runs in place on the one draw buffer to keep the peak memory down.
+    """
+    legs = rng.standard_normal((n_trials, 2))
+    legs *= medium.index_fluctuation_sigma
+    legs += medium.mean_index
+    np.maximum(legs, 1.0, out=legs)
+    legs *= medium.distance
+    legs /= SPEED_OF_LIGHT
+    errs = legs[:, 0] - legs[:, 1]
+    errs /= 2.0
+    # estimated_offset - true_offset, rounded as einstein_sync rounds it
+    errs += true_offset
+    errs -= true_offset
+    errs *= errs
+    return float(np.sqrt(np.mean(errs)))

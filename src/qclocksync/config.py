@@ -119,6 +119,29 @@ def _is_count(value, low: int) -> bool:
     return float(value).is_integer() and value >= low
 
 
+def _to_float(value) -> float | None:
+    """value as a float, or None if it is not a number (bool excluded).
+
+    Numeric strings count: YAML reads an exponent without a sign (1.0e6) as
+    a string."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _medium_fault(**fields) -> str | None:
+    """MediumModel's objection to these fields (the others at a valid
+    default), or None; the medium's rules live in MediumModel alone."""
+    try:
+        MediumModel(**{"distance": 1.0, **fields})
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def _budget_limit(n_pairs: int) -> float:
     # Subensemble size is Binomial(N, 1/2); allow expectation minus 5 sigma.
     return n_pairs / 2.0 - 2.5 * math.sqrt(n_pairs)
@@ -141,22 +164,31 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
 
     if config.mode == "baseline_sweep":
         base = config.baseline or {}
-        for key, low in (("sigma_grid", 0.0), ("distance_grid", None)):
+        if not isinstance(base, dict):
+            err("baseline", "a mapping with sigma_grid, distance_grid, n_trials", base)
+            return diags
+        for key, param in (("sigma_grid", "index_fluctuation_sigma"),
+                           ("distance_grid", "distance")):
             grid = base.get(key)
-            if not grid:
+            if not grid or not isinstance(grid, (list, tuple)):
                 err(f"baseline.{key}", "non-empty list required", grid)
                 continue
-            try:
-                # YAML quietly treats exponents without a sign (1.0e6) as strings
-                vals = [float(v) for v in grid]
-            except (TypeError, ValueError):
+            vals = [_to_float(v) for v in grid]
+            if None in vals:
                 err(f"baseline.{key}", "numeric values required", grid)
                 continue
-            if (low is None and any(v <= 0 for v in vals)) or \
-                    (low is not None and any(v < low for v in vals)):
-                err(f"baseline.{key}", "values must be positive", grid)
+            fault = next(filter(None, (_medium_fault(**{param: v}) for v in vals)), None)
+            if fault:
+                err(f"baseline.{key}", fault, grid)
+        mean_index = _to_float(base.get("mean_index", 1.0))
+        fault = ("a finite number >= 1" if mean_index is None
+                 else _medium_fault(mean_index=mean_index))
+        if fault:
+            err("baseline.mean_index", fault, base.get("mean_index"))
         if not _is_count(base.get("n_trials"), 1):
             err("baseline.n_trials", "an integer >= 1", base.get("n_trials"))
+        if not _is_count(base.get("n_qcs_seeds", 20), 1):
+            err("baseline.n_qcs_seeds", "an integer >= 1", base.get("n_qcs_seeds"))
         return diags
 
     # quantum-protocol modes
@@ -189,8 +221,10 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
     if not n_pairs_ok:
         err("n_pairs", "an integer >= 1", config.n_pairs)
 
-    for name, sched in (("schedule", config.schedule),
-                        ("bob_schedule", config.bob_schedule or config.schedule)):
+    schedules = [("schedule", config.schedule)]
+    if config.bob_schedule is not None:  # else Bob uses Alice's, checked once
+        schedules.append(("bob_schedule", config.bob_schedule))
+    for name, sched in schedules:
         if not isinstance(sched, dict):
             err(name, "a mapping with start, stop, n_points, batch_size", sched)
             continue

@@ -22,6 +22,11 @@ class TestChannelModel:
             ChannelModel(jitter_sigma=-0.1)
         with pytest.raises(ValueError):
             ChannelModel(loss_probability=1.5)
+        # max(0.0, nan) is 0.0, so a NaN delay would otherwise act as none
+        for field in ("base_delay", "jitter_sigma"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    ChannelModel(**{field: value})
 
     def test_ideal_channel_is_instant(self):
         rng = np.random.default_rng(0)
@@ -75,6 +80,12 @@ class TestMediumModel:
             MediumModel(distance=1.0, mean_index=0.9)
         with pytest.raises(ValueError):
             MediumModel(distance=1.0, index_fluctuation_sigma=-1.0)
+        # max(1.0, nan) is 1.0 but np.maximum(nan, 1.0) is nan: a NaN index
+        # would split einstein_sync from es_rms_error
+        for field in ("distance", "mean_index", "index_fluctuation_sigma"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError):
+                    MediumModel(**{"distance": 1.0, field: value})
 
 
 class TestEinsteinSync:
@@ -119,3 +130,38 @@ class TestEinsteinSync:
     def test_error_property(self):
         r = BaselineResult(estimated_offset=1.5, true_offset=1.2)
         assert r.error == pytest.approx(0.3)
+
+
+# (medium, n_trials, true_offset, seed): a vacuum floor that bites
+# (sigma 0.5), mean_index > 1, offsets that round, a quiet medium, one trial
+BASELINE_CASES = [
+    (MediumModel(distance=1e7, index_fluctuation_sigma=1e-4), 1000, 0.0, 11),
+    (MediumModel(distance=3e6, mean_index=1.3, index_fluctuation_sigma=2e-3), 500, 0.25, 12),
+    (MediumModel(distance=SPEED_OF_LIGHT, index_fluctuation_sigma=0.5), 777, -3.0, 13),
+    (MediumModel(distance=1e3, mean_index=1.0003), 50, 1.7, 14),
+    (MediumModel(distance=2e5, mean_index=1.1, index_fluctuation_sigma=1e-5), 1, 0.0, 15),
+]
+
+
+class TestEsRmsError:
+    @pytest.mark.parametrize("medium,n_trials,offset,seed", BASELINE_CASES,
+                             ids=["vacuum", "dense-offset", "floor", "quiet", "one-trial"])
+    def test_equals_per_trial_loop(self, medium, n_trials, offset, seed):
+        rng_loop, rng_array = np.random.default_rng(seed), np.random.default_rng(seed)
+        errs = [einstein_sync(medium, rng_loop, offset).error for _ in range(n_trials)]
+        expected = float(np.sqrt(np.mean(np.square(errs))))
+        assert es_rms_error(medium, n_trials, rng_array, offset) == expected
+        # the stream ends where the loop leaves it, so later draws line up
+        assert rng_array.random() == rng_loop.random()
+
+    def test_golden_values(self):
+        # the values of the per-trial loop this function replaced
+        golden = [(1.3489173995967913e-06, 0.6493085296091757),
+                  (1.4157567293595812e-05, 0.007505975658738895),
+                  (0.19801784754610385, 0.9672188062035122),
+                  (0.0, 0.07669703905237013),
+                  (1.648891736095049e-09, 0.571597257033731)]
+        for (medium, n_trials, offset, seed), (rms, next_draw) in zip(BASELINE_CASES, golden):
+            rng = np.random.default_rng(seed)
+            assert es_rms_error(medium, n_trials, rng, offset) == rms
+            assert rng.random() == next_draw

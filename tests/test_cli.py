@@ -77,20 +77,28 @@ class TestValidate:
         path = _write(tmp_path, {"schedule": {**BASE["schedule"], key: value}})
         assert main(["validate", path]) == 1
         report = json.loads(capsys.readouterr().out)
-        fields = {d["field"] for d in report["diagnostics"]}
-        assert fields == {f"schedule.{key}", f"bob_schedule.{key}"}
+        assert [d["field"] for d in report["diagnostics"]] == [f"schedule.{key}"]
 
+    # without a bob_schedule Bob samples on Alice's grid: one fault, one report
     @pytest.mark.parametrize("schedule", [None, "0.1..4.0"])
     def test_non_mapping_schedule_reported(self, tmp_path, capsys, schedule):
         assert main(["validate", _write(tmp_path, {"schedule": schedule})]) == 1
         report = json.loads(capsys.readouterr().out)
-        assert {d["field"] for d in report["diagnostics"]} == {"schedule", "bob_schedule"}
+        assert [d["field"] for d in report["diagnostics"]] == ["schedule"]
+
+    def test_bad_bob_schedule_reported(self, tmp_path, capsys):
+        bob = {**BASE["schedule"], "n_points": 2}
+        assert main(["validate", _write(tmp_path, {"bob_schedule": bob})]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == ["bob_schedule.n_points"]
 
     @pytest.mark.parametrize("channel", [
         {"correlation_time": 1.0},
         {"jitter_sigma": -0.1},
         {"loss_probability": 1.5},
-    ], ids=["unknown-key", "negative-jitter", "loss-above-1"])
+        {"base_delay": float("nan")},
+        {"jitter_sigma": float("nan")},
+    ], ids=["unknown-key", "negative-jitter", "loss-above-1", "nan-delay", "nan-jitter"])
     def test_bad_channel_reported(self, tmp_path, capsys, channel):
         path = _write(tmp_path, {"channel": channel})
         assert main(["validate", path]) == 1
@@ -265,6 +273,26 @@ class TestBaselineMode:
         assert main(["validate", path]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [d["field"] for d in report["diagnostics"]] == ["baseline.n_trials"]
+
+    @pytest.mark.parametrize("key,value", [
+        ("sigma_grid", [1e-6, float("nan")]),
+        ("sigma_grid", [float("inf")]),
+        ("distance_grid", [float("nan")]),
+        ("distance_grid", [1e3, float("inf")]),
+        ("mean_index", 0.5),
+        ("mean_index", float("nan")),
+        ("mean_index", "dense"),
+        ("n_qcs_seeds", "a"),
+        ("n_qcs_seeds", 0),
+    ])
+    def test_bad_baseline_field_reported(self, tmp_path, capsys, key, value):
+        baseline = {"sigma_grid": [1e-6], "distance_grid": [1e3], "n_trials": 10,
+                    "n_qcs_seeds": 1, key: value}
+        path = _write(tmp_path, {"mode": "baseline_sweep", "baseline": baseline})
+        assert main(["validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == [f"baseline.{key}"]
+        assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
 
     def test_string_grid_values_rejected(self, tmp_path, capsys):
         path = _write(tmp_path, {

@@ -15,6 +15,7 @@ seeds and package version instead.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,7 @@ import yaml
 from . import __version__
 from .channels import SPEED_OF_LIGHT, ChannelModel, MediumModel, es_rms_error
 from .ensemble import SamplingSchedule, create_ensemble
-from .errors import ConfigError
+from .errors import ConfigError, QcsError
 from .protocol import (
     PartyConfig,
     ProtocolSchedules,
@@ -91,6 +92,10 @@ class ScenarioConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        if "mode" not in raw:
+            raise ConfigError("config field 'mode' is required")
+        if not isinstance(raw.get("seeds") or {}, dict):
+            raise ConfigError("config field 'seeds' must be a mapping")
         cfg = cls(**raw)
         cfg.seeds = {"quantum": 0, "channel": 0, "delta": 0, **(cfg.seeds or {})}
         return cfg
@@ -117,6 +122,12 @@ def _is_count(value, low: int) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return float(value).is_integer() and value >= low
+
+
+def _is_finite(value) -> bool:
+    """True for a finite int or float (bool and numeric strings excluded)."""
+    return (not isinstance(value, bool) and isinstance(value, (int, float))
+            and math.isfinite(value))
 
 
 def _to_float(value) -> float | None:
@@ -162,6 +173,10 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
         err("mode", f"one of {MODES}", config.mode)
         return diags
 
+    for key in ("quantum", "channel", "delta"):
+        if not _is_count(config.seeds[key], 0):
+            err(f"seeds.{key}", "an integer >= 0", config.seeds[key])
+
     if config.mode == "baseline_sweep":
         base = config.baseline or {}
         if not isinstance(base, dict):
@@ -189,33 +204,55 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
             err("baseline.n_trials", "an integer >= 1", base.get("n_trials"))
         if not _is_count(base.get("n_qcs_seeds", 20), 1):
             err("baseline.n_qcs_seeds", "an integer >= 1", base.get("n_qcs_seeds"))
+        if not diags:
+            diags.extend(_qcs_cell_diagnostics(config, base))
         return diags
 
     # quantum-protocol modes
-    species = list(config.species)
+    to_ok = False
     if config.mode == "time_origin":
-        to = config.time_origin or {}
-        for key in ("omega1", "delta_omega", "duration_T"):
-            if key not in to:
-                err(f"time_origin.{key}", "required", None)
-        if not diags:
-            if to["omega1"] <= 0:
-                err("time_origin.omega1", "> 0", to["omega1"])
-            if to["delta_omega"] <= 0:
-                err("time_origin.delta_omega", "> 0", to["delta_omega"])
-            prod = to.get("delta_omega", 0) * to.get("duration_T", 0)
-            if not prod < math.pi / 2.0:
-                err("time_origin", "delta_omega * duration_T < pi/2 (strict)", prod)
-        species = _time_origin_species_dicts(to) if not diags else []
+        to = config.time_origin
+        if not isinstance(to, dict):
+            err("time_origin", "a mapping with omega1, delta_omega, duration_T", to)
+        else:
+            n_before = len(diags)
+            for key in ("omega1", "delta_omega", "duration_T"):
+                if key not in to:
+                    err(f"time_origin.{key}", "required", None)
+                elif not (_is_finite(to[key]) and to[key] > 0):
+                    err(f"time_origin.{key}", "a finite number > 0", to[key])
+            to_ok = len(diags) == n_before
+            if to_ok and not to["delta_omega"] * to["duration_T"] < math.pi / 2.0:
+                err("time_origin", "delta_omega * duration_T < pi/2 (strict)",
+                    to["delta_omega"] * to["duration_T"])
+                to_ok = False
     else:
         want = 2 if config.mode == "two_frequency" else 1
-        if len(species) != want:
-            err("species", f"exactly {want} species for mode {config.mode}", len(species))
+        species = config.species if isinstance(config.species, list) else []
+        if not isinstance(config.species, list) or len(species) != want:
+            err("species", f"a list of exactly {want} species for mode {config.mode}",
+                config.species)
         for i, sp in enumerate(species):
-            if sp.get("omega", 0) <= 0:
-                err(f"species[{i}].omega", "> 0", sp.get("omega"))
-        if want == 2 and len(species) == 2 and species[0].get("omega") == species[1].get("omega"):
-            err("species", "two distinct frequencies required", species[0].get("omega"))
+            if not isinstance(sp, dict):
+                err(f"species[{i}]", "a mapping with name and omega", sp)
+                continue
+            if not (isinstance(sp.get("name"), str) and sp["name"]):
+                err(f"species[{i}].name", "a non-empty string", sp.get("name"))
+            if not (_is_finite(sp.get("omega")) and sp["omega"] > 0):
+                err(f"species[{i}].omega", "a finite number > 0", sp.get("omega"))
+        if want == 2 and len(species) == 2 and all(isinstance(sp, dict) for sp in species):
+            if species[0].get("omega") == species[1].get("omega"):
+                err("species", "two distinct frequencies required", species[0].get("omega"))
+            if species[0].get("name") == species[1].get("name"):
+                err("species", "two distinct names required", species[0].get("name"))
+
+    for key in ("eta", "alice_phase", "alice_clock_offset", "bob_clock_offset",
+                "collapse_time", "bob_phase", "send_time"):
+        value = getattr(config, key)
+        if key in ("bob_phase", "send_time") and value is None:
+            continue  # derived when the scenario leaves it out
+        if not _is_finite(value):
+            err(key, "a finite number", value)
 
     n_pairs_ok = _is_count(config.n_pairs, 1)
     if not n_pairs_ok:
@@ -232,8 +269,7 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
         if missing:
             err(name, f"missing keys {missing}", sched)
             continue
-        bad_bounds = [k for k in ("start", "stop") if isinstance(sched[k], bool)
-                      or not isinstance(sched[k], (int, float)) or not math.isfinite(sched[k])]
+        bad_bounds = [k for k in ("start", "stop") if not _is_finite(sched[k])]
         for key in bad_bounds:
             err(f"{name}.{key}", "a finite number", sched[key])
         counts_ok = True
@@ -250,6 +286,17 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
             err(f"{name}", "n_points * batch_size within N/2 minus 5-sigma margin",
                 {"requested": budget, "limit": _budget_limit(config.n_pairs)})
 
+    # Alice's collapse, her send and her first sample, all in her local time
+    collapse = config.collapse_time
+    if _is_finite(collapse):
+        if _is_finite(config.send_time) and config.send_time < collapse:
+            err("send_time", ">= collapse_time (labels follow the collapse)",
+                {"send_time": config.send_time, "collapse_time": collapse})
+        start = config.schedule.get("start") if isinstance(config.schedule, dict) else None
+        if _is_finite(start) and start < collapse:
+            err("collapse_time", "<= schedule.start (Alice samples after her collapse)",
+                {"collapse_time": collapse, "start": start})
+
     ch = config.channel or {}
     try:
         # the channel rules live in ChannelModel alone
@@ -261,26 +308,69 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
             warn("channel.loss_probability", "< 1 (protocol will always abort)",
                  channel.loss_probability)
 
-    if isinstance(config.delta, str) and config.delta != "random":
-        err("delta", "a number, 'random', or null", config.delta)
-    elif config.delta == "random" and config.bob_phase is not None:
-        # a drawn delta cannot be known to agree with a fixed bob_phase
-        err("delta", "'random' excludes bob_phase (give one)",
-            {"delta": config.delta, "bob_phase": config.bob_phase})
-    elif config.delta is not None and config.bob_phase is not None:
+    if config.delta == "random":
+        if config.bob_phase is not None:
+            # a drawn delta cannot be known to agree with a fixed bob_phase
+            err("delta", "'random' excludes bob_phase (give one)",
+                {"delta": config.delta, "bob_phase": config.bob_phase})
+    elif config.delta is not None and not _is_finite(config.delta):
+        err("delta", "a finite number, 'random', or null", config.delta)
+    elif (config.delta is not None and _is_finite(config.bob_phase)
+          and _is_finite(config.alice_phase)):
         # both may appear in an echoed config, but only if they agree
         implied = normalize_phase(config.alice_phase - float(config.delta))
         if abs(implied - normalize_phase(config.bob_phase)) > 1e-9:
             err("delta", "delta and bob_phase disagree (give one, or consistent values)",
                 {"delta": config.delta, "bob_phase": config.bob_phase})
 
-    if config.mode == "time_origin" and not diags:
-        to = config.time_origin
-        t_max = math.pi / to["delta_omega"]
+    if to_ok and not diags:
+        t_max = math.pi / config.time_origin["delta_omega"]
         sched = config.bob_schedule or config.schedule
         if sched.get("stop", 0) < t_max:
             warn("schedule.stop", "should bracket the first envelope maximum pi/delta_omega",
                  {"stop": sched.get("stop"), "t_max": t_max})
+    return diags
+
+
+def _qcs_cell_diagnostics(config: ScenarioConfig, base: dict) -> list[Diagnostic]:
+    """Faults of a baseline sweep's QCS cell, reported under
+    baseline.qcs_scenario, then of the cell as each grid point builds it
+    (Bob's schedule shifted past the worst-case delivery), reported under
+    baseline.distance_grid. Called once the rest of the baseline is valid."""
+    name = "baseline.qcs_scenario"
+    raw = base.get("qcs_scenario") or _default_qcs_cell(config)
+    if not isinstance(raw, dict):
+        return [Diagnostic(name, "a single_frequency scenario mapping", raw)]
+    try:
+        cell = ScenarioConfig.from_dict(raw)
+    except ConfigError as exc:
+        return [Diagnostic(name, str(exc), raw)]
+    if cell.mode != "single_frequency":
+        return [Diagnostic(f"{name}.mode", "single_frequency", cell.mode)]
+    # _qcs_cell replaces both from the medium, so a given value would be ignored
+    overridden = [Diagnostic(f"{name}.{key}", "left out: each grid cell derives it from "
+                             "the medium", raw[key]) for key in ("channel", "bob_schedule")
+                  if raw.get(key) is not None]
+    if overridden:
+        return overridden
+    diags = [dataclasses.replace(d, field=f"{name}.{d.field}") for d in validate_config(cell)]
+    if any(d.severity == "error" for d in diags):
+        return diags
+    mean_index = float(base.get("mean_index", 1.0))
+    for sigma in base["sigma_grid"]:
+        for distance in base["distance_grid"]:
+            medium = MediumModel(distance=float(distance), mean_index=mean_index,
+                                 index_fluctuation_sigma=float(sigma))
+            try:
+                with np.errstate(all="ignore"):
+                    _protocol_setup(_qcs_cell(cell, medium))
+            except (ValueError, QcsError) as exc:
+                diags.append(Diagnostic(
+                    "baseline.distance_grid",
+                    "Bob's QCS schedule shifted by distance * (mean_index + 10 * sigma) / c "
+                    f"must stay finite and strictly increasing ({exc})",
+                    {"distance": float(distance), "sigma": float(sigma)}))
+                return diags
     return diags
 
 
@@ -435,7 +525,7 @@ def _run_baseline_sweep(config: ScenarioConfig, out_dir: str) -> dict:
     n_trials = int(base["n_trials"])
     mean_index = float(base.get("mean_index", 1.0))
     n_qcs_seeds = int(base.get("n_qcs_seeds", 20))
-    qcs_cfg_raw = base.get("qcs_scenario") or _default_qcs_cell(config)
+    qcs_cell = ScenarioConfig.from_dict(base.get("qcs_scenario") or _default_qcs_cell(config))
 
     rows = []
     crng = np.random.default_rng(int(config.seeds["channel"]))
@@ -444,7 +534,7 @@ def _run_baseline_sweep(config: ScenarioConfig, out_dir: str) -> dict:
             medium = MediumModel(distance=float(distance), mean_index=mean_index,
                                  index_fluctuation_sigma=float(sigma))
             rms_es = es_rms_error(medium, n_trials, crng)
-            rms_qcs = _qcs_rms(qcs_cfg_raw, medium, n_qcs_seeds,
+            rms_qcs = _qcs_rms(qcs_cell, medium, n_qcs_seeds,
                                int(config.seeds["quantum"]),
                                int(config.seeds["channel"]))
             rows.append((float(sigma), float(distance), rms_es, rms_qcs, n_trials))
@@ -471,23 +561,26 @@ def _default_qcs_cell(config: ScenarioConfig) -> dict:
     }
 
 
-def _qcs_rms(raw: dict, medium: MediumModel, n_seeds: int,
+def _qcs_cell(cell: ScenarioConfig, medium: MediumModel) -> ScenarioConfig:
+    """The resolved QCS cell for one medium: the label channel inherits the
+    medium's delay and jitter, and Bob's measurements start after worst-case
+    delivery so the schedule is reachable for every cell in the sweep."""
+    base_delay = medium.distance * medium.mean_index / SPEED_OF_LIGHT
+    jitter = medium.distance * medium.index_fluctuation_sigma / SPEED_OF_LIGHT
+    margin = base_delay + 10.0 * jitter
+    sched = cell.schedule
+    return resolve_config(dataclasses.replace(
+        cell,
+        channel={"base_delay": base_delay, "jitter_sigma": jitter, "loss_probability": 0.0},
+        bob_schedule={**sched, "start": sched["start"] + margin,
+                      "stop": sched["stop"] + margin}))
+
+
+def _qcs_rms(cell: ScenarioConfig, medium: MediumModel, n_seeds: int,
              quantum_seed: int, channel_seed: int) -> float:
     """RMS entanglement-protocol sync error across quantum seeds, with the
     label channel inheriting the medium's delay and jitter."""
-    cell = ScenarioConfig.from_dict(dict(raw))
-    base_delay = medium.distance * medium.mean_index / SPEED_OF_LIGHT
-    jitter = medium.distance * medium.index_fluctuation_sigma / SPEED_OF_LIGHT
-    cell.channel = {"base_delay": base_delay, "jitter_sigma": jitter,
-                    "loss_probability": 0.0}
-    # keep Bob's measurements after worst-case delivery so the schedule is
-    # reachable for every cell in the sweep
-    margin = base_delay + 10.0 * jitter
-    sched = dict(cell.schedule)
-    cell.bob_schedule = {**sched, "start": sched["start"] + margin,
-                         "stop": sched["stop"] + margin}
-    cell = resolve_config(cell)
-
+    cell = _qcs_cell(cell, medium)
     all_species, alice, bob, schedules, channel = _protocol_setup(cell)
     species = all_species[0]
     errs = []

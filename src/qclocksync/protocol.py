@@ -75,11 +75,17 @@ class PartyConfig:
 
 @dataclass(frozen=True)
 class ClassicalMessage:
-    """A label broadcast. The payload carries labels only, never timestamps."""
+    """A label broadcast. The payload carries labels only, never timestamps.
+
+    type_i_bitmap is the sender's Type-I label set over labels 1..N, packed
+    as np.packbits packs a bool array: bit l - 1 (most significant bit of
+    each byte first) is set exactly when label l is Type I. It is ceil(N / 8)
+    bytes, and the padding bits of its last byte are clear.
+    """
 
     sender: str
     species: str
-    labels: tuple[int, ...]
+    type_i_bitmap: bytes
     send_time: float
     deliver_time: float
 
@@ -215,25 +221,45 @@ class SyncResult:
 
 
 def broadcast_labels(channel: ChannelModel, sender: PartyConfig, species: ClockSpecies,
-                     labels, send_time_global: float, channel_rng: np.random.Generator,
+                     type_i: np.ndarray, send_time_global: float,
+                     channel_rng: np.random.Generator,
                      transcript: Transcript | None = None) -> ClassicalMessage | None:
-    """Send a label list over the channel; returns the message or None if lost.
+    """Send the Type-I label set over the channel; returns the message or None if lost.
 
-    The payload is the labels in the order given (Alice passes hers
-    ascending) as a tuple of plain Python ints.
+    type_i is the sender's collapse mask over labels 1..N (index l - 1 holds
+    label l). The payload is that mask packed eight labels to a byte,
+    ceil(N / 8) bytes; the transcript's n_labels counts its Type-I labels.
     """
-    labels = tuple(np.asarray(labels, dtype=np.int64).tolist())
+    bitmap = np.packbits(type_i).tobytes()
     deliver_time = deliver(channel, send_time_global, channel_rng)
     if transcript is not None:
         transcript.record("send", send_time_global, sender=sender.party_id,
-                          species=species.name, n_labels=len(labels))
+                          species=species.name, n_labels=int(np.count_nonzero(type_i)))
     if deliver_time is None:
         if transcript is not None:
             transcript.record("lost", send_time_global, sender=sender.party_id,
                               species=species.name)
         return None
-    return ClassicalMessage(sender=sender.party_id, species=species.name, labels=labels,
-                            send_time=send_time_global, deliver_time=deliver_time)
+    return ClassicalMessage(sender=sender.party_id, species=species.name,
+                            type_i_bitmap=bitmap, send_time=send_time_global,
+                            deliver_time=deliver_time)
+
+
+def complement_labels(type_i_bitmap: bytes, n_pairs: int) -> np.ndarray:
+    """Labels in 1..n_pairs that the bitmap does not mark Type I, ascending int64.
+
+    This is Bob's Type-II subensemble. A payload that is not exactly
+    ceil(n_pairs / 8) bytes, or that has a padding bit set, raises
+    ValueError rather than being padded or cut to fit.
+    """
+    payload = np.frombuffer(type_i_bitmap, dtype=np.uint8)
+    n_bytes = -(-n_pairs // 8)
+    if payload.shape[0] != n_bytes:
+        raise ValueError(f"label bitmap is {payload.shape[0]} bytes; "
+                         f"{n_pairs} labels need {n_bytes}")
+    if n_pairs % 8 and payload[-1] & (0xFF >> (n_pairs % 8)):
+        raise ValueError("label bitmap has padding bits set")
+    return np.flatnonzero(~np.unpackbits(payload, count=n_pairs).view(bool)) + 1
 
 
 # Priority of simultaneous events: a collapse precedes the send and any
@@ -256,11 +282,11 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     """One full single-frequency synchronization run.
 
     Flow: Alice collapses every pair at her t=0, samples her Type-I
-    subensemble on her schedule, and broadcasts the Type-I labels (ascending
-    plain ints). Once the message is delivered, Bob forms his Type-II
-    subensemble as the complement of those labels in 1..N: an O(N) boolean
-    mask with the broadcast labels cleared, whose surviving labels are
-    already ascending. He samples it on his (absolute, pre-agreed) schedule;
+    subensemble on her schedule, and broadcasts the Type-I label set as a
+    bitmap over labels 1..N (ceil(N/8) bytes, bit l - 1 set for Type-I label
+    l). Once the message is delivered, Bob unpacks it and takes the labels
+    whose bits are clear, already ascending, as his Type-II subensemble (see
+    complement_labels). He samples it on his (absolute, pre-agreed) schedule;
     scheduled times that precede delivery cannot be measured and make the
     run inconclusive. Both parties fit their clock phase against their own
     local timestamps.
@@ -278,7 +304,6 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     outcome = SpeciesOutcome(species=species)
     alice_handle: SubensembleHandle | None = None
     bob_handle: SubensembleHandle | None = None
-    type_i_labels = None
     lost = False
     missed = False
     budget_hit = False
@@ -298,25 +323,20 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
                 transcript.record("collapse", t, species=species.name,
                                   n_type_i=outcome.n_type_i, n_type_ii=outcome.n_type_ii)
         elif kind == "send":
-            if type_i_labels is None:
+            if ensemble.type_i is None:
                 raise ProtocolOrderError("labels cannot be broadcast before the collapse")
-            msg = broadcast_labels(channel, alice, species, type_i_labels, t,
+            msg = broadcast_labels(channel, alice, species, ensemble.type_i, t,
                                    channel_rng, transcript)
             if msg is None:
                 lost = True
             else:
                 bisect.insort(events, _event(msg.deliver_time, "deliver", msg), lo=pos)
         elif kind == "deliver":
-            msg = payload
-            # Bob derives his Type-II subset as the complement of the broadcast labels:
-            # clear their slots (label - 1) in an all-true mask, keep the rest in order.
-            keep = np.ones(ensemble.n_pairs, dtype=bool)
-            keep[np.fromiter(msg.labels, dtype=np.int64, count=len(msg.labels)) - 1] = False
-            bob_type_ii = np.flatnonzero(keep) + 1
+            bob_type_ii = complement_labels(payload.type_i_bitmap, ensemble.n_pairs)
             bob_handle = select_subensemble(ensemble, bob_type_ii, "type_ii")
             if transcript is not None:
                 transcript.record("deliver", t, species=species.name,
-                                  n_labels=len(msg.labels))
+                                  n_labels=ensemble.n_pairs - int(bob_type_ii.shape[0]))
         elif kind == "alice_sample":
             try:
                 n_pos, n = sample_batch(alice_handle, t, schedules.alice.batch_size,

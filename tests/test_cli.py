@@ -106,6 +106,39 @@ class TestValidate:
         assert [d["field"] for d in report["diagnostics"]] == ["channel"]
         assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
 
+    # each was a raw exception, exit 2 or exit 3 before it was validated
+    @pytest.mark.parametrize("overrides,field", [
+        ({"delta": float("inf")}, "delta"),
+        ({"delta": float("nan")}, "delta"),
+        ({"species": [{"name": "cs", "omega": "2"}]}, "species[0].omega"),
+        ({"species": [{"name": "cs", "omega": float("nan")}]}, "species[0].omega"),
+        ({"species": "cs"}, "species"),
+        ({"species": [2.0]}, "species[0]"),
+        ({"species": [{"omega": 2.0}]}, "species[0].name"),
+        ({"bob_clock_offset": float("nan")}, "bob_clock_offset"),
+        ({"alice_phase": "x"}, "alice_phase"),
+        ({"eta": "0.1"}, "eta"),
+        ({"seeds": {"quantum": -1}}, "seeds.quantum"),
+        ({"seeds": {"channel": "a"}}, "seeds.channel"),
+        ({"collapse_time": 1.0}, "collapse_time"),
+        ({"collapse_time": 0.05, "send_time": 0.0}, "send_time"),
+        ({"mode": "time_origin", "time_origin": {
+            "omega1": "2", "delta_omega": 0.2, "duration_T": 1.0}}, "time_origin.omega1"),
+        ({"mode": "two_frequency", "species": [{"name": "a", "omega": 2.0},
+                                               {"name": "a", "omega": 3.0}]}, "species"),
+    ], ids=["inf-delta", "nan-delta", "string-omega", "nan-omega", "string-species",
+            "number-species", "nameless-species", "nan-bob-offset", "string-alice-phase",
+            "string-eta", "negative-seed", "string-seed", "collapse-after-sample",
+            "send-before-collapse", "string-omega1", "same-species-names"])
+    def test_malformed_scenario_exits_1(self, tmp_path, capsys, overrides, field):
+        path = _write(tmp_path, overrides)
+        assert main(["validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == [field]
+        assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == [field]
+
     def test_integral_float_n_pairs_accepted(self, tmp_path, capsys):
         assert main(["validate", _write(tmp_path, {"n_pairs": 12000.0})]) == 0
 
@@ -243,6 +276,11 @@ class TestTimeOriginMode:
         assert any("pi/2" in d["constraint"] for d in report["diagnostics"])
 
 
+QCS_CELL = {"mode": "single_frequency", "n_pairs": 20_000,
+            "species": [{"name": "cs", "omega": 1.0}],
+            "schedule": {"start": 0.0, "stop": 6.0, "n_points": 10, "batch_size": 500}}
+
+
 class TestBaselineMode:
     def test_small_baseline_sweep(self, tmp_path, capsys):
         path = _write(tmp_path, {
@@ -293,6 +331,46 @@ class TestBaselineMode:
         report = json.loads(capsys.readouterr().out)
         assert [d["field"] for d in report["diagnostics"]] == [f"baseline.{key}"]
         assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
+
+    @pytest.mark.parametrize("qcs,fields", [
+        ({"mode": "single_frequency", "n_pairs": 100},
+         ["baseline.qcs_scenario.species", "baseline.qcs_scenario.schedule"]),
+        ({"mode": "time_origin"}, ["baseline.qcs_scenario.mode"]),
+        ({"n_pairs": 100}, ["baseline.qcs_scenario"]),
+        ([1], ["baseline.qcs_scenario"]),
+        ({**QCS_CELL, "channel": {"loss_probability": 1.0}}, ["baseline.qcs_scenario.channel"]),
+        ({**QCS_CELL, "bob_schedule": QCS_CELL["schedule"]},
+         ["baseline.qcs_scenario.bob_schedule"]),
+    ], ids=["no-schedule", "wrong-mode", "no-mode", "not-a-mapping", "own-channel",
+            "own-bob-schedule"])
+    def test_bad_qcs_scenario_reported(self, tmp_path, capsys, qcs, fields):
+        baseline = {"sigma_grid": [1e-6], "distance_grid": [1e3], "n_trials": 10,
+                    "n_qcs_seeds": 1, "qcs_scenario": qcs}
+        path = _write(tmp_path, {"mode": "baseline_sweep", "baseline": baseline})
+        assert main(["validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == fields
+        assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
+
+    # finite grid values whose Bob-schedule margin overflows (inf) or swamps
+    # the schedule's spacing (start + margin == stop + margin)
+    @pytest.mark.parametrize("sigma,distance", [(1e10, 1e300), (1e-6, 1e300)])
+    def test_grid_margin_overflow_reported(self, tmp_path, capsys, sigma, distance):
+        baseline = {"sigma_grid": [sigma], "distance_grid": [1e3, distance],
+                    "n_trials": 10, "n_qcs_seeds": 1}
+        path = _write(tmp_path, {"mode": "baseline_sweep", "baseline": baseline})
+        assert main(["validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == ["baseline.distance_grid"]
+        assert report["diagnostics"][0]["observed"] == {"distance": distance, "sigma": sigma}
+        assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
+
+    def test_given_qcs_scenario_runs(self, tmp_path, capsys):
+        baseline = {"sigma_grid": [1e-6], "distance_grid": [1e3], "n_trials": 10,
+                    "n_qcs_seeds": 2, "qcs_scenario": QCS_CELL}
+        path = _write(tmp_path, {"mode": "baseline_sweep", "baseline": baseline})
+        assert main(["validate", path]) == 0
+        assert main(["run", path, "-o", str(tmp_path / "out")]) == 0
 
     def test_string_grid_values_rejected(self, tmp_path, capsys):
         path = _write(tmp_path, {

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from qclocksync.protocol import (
     TimeOriginConfig,
     Transcript,
     broadcast_labels,
+    complement_labels,
     configured_offset,
     establish_time_origin,
     run_single_frequency,
@@ -181,19 +183,29 @@ class TestTranscript:
         assert back == transcript.records
 
     def test_no_timestamps_in_label_payload(self):
-        msg = broadcast_labels(IDEAL, _parties()[0], CS, [3, 1, 2], 0.0,
-                               np.random.default_rng(0))
-        assert msg.labels == (3, 1, 2)
-        assert msg.deliver_time == 0.0
+        # Type-I labels {1, 2, 3} of N = 11: one full byte plus one padding byte
+        type_i = np.isin(np.arange(1, 12), [3, 1, 2])
+        payloads = []
+        for send_time in (0.0, 5.0, 1e6):
+            msg = broadcast_labels(IDEAL, _parties()[0], CS, type_i, send_time,
+                                   np.random.default_rng(0))
+            assert msg.deliver_time == send_time
+            payloads.append(msg.type_i_bitmap)
+        assert payloads[0] == payloads[1] == payloads[2] == bytes([0b11100000, 0])
+        assert len(payloads[0]) == math.ceil(11 / 8)
         with pytest.raises(ValueError):
-            ClassicalMessage("A", "cs", (1,), send_time=1.0, deliver_time=0.5)
+            ClassicalMessage("A", "cs", b"\x80", send_time=1.0, deliver_time=0.5)
 
 
-class _AllTypeI:
-    """Quantum stream whose every draw is 0: all pairs collapse to Type I."""
+class _ConstantStream:
+    """Quantum stream whose every draw is one value: at 0 all pairs collapse
+    to Type I, at 0.75 all collapse to Type II."""
+
+    def __init__(self, value):
+        self.value = value
 
     def random(self, n):
-        return np.zeros(n)
+        return np.full(n, self.value)
 
 
 class TestLabelPath:
@@ -217,19 +229,27 @@ class TestLabelPath:
 
     def test_bob_holds_ascending_complement_of_broadcast(self, monkeypatch):
         handles, messages = self._capture(monkeypatch)
+        transcript = Transcript()
         result, *_ = _run(n_pairs=12_001, channel=ChannelModel(base_delay=0.05),
-                          bob_shift=1.0)
+                          bob_shift=1.0, transcript=transcript)
         assert result.status == "ok"
         alice_labels = handles["type_i"].labels
         bob_labels = handles["type_ii"].labels
         (msg,) = messages
-        assert msg.labels == tuple(alice_labels.tolist())
-        assert all(type(x) is int for x in msg.labels)
+        # 12,001 labels are 1,501 bytes; the 7 padding bits of the last are clear
+        assert isinstance(msg.type_i_bitmap, bytes)
+        assert len(msg.type_i_bitmap) == 1501
+        assert msg.type_i_bitmap[-1] & 0x7F == 0
+        bits = np.unpackbits(np.frombuffer(msg.type_i_bitmap, dtype=np.uint8))
+        assert np.array_equal(np.flatnonzero(bits) + 1, alice_labels)
         expected = np.setdiff1d(np.arange(1, 12_002), alice_labels)
         assert bob_labels.dtype == np.int64
         assert np.array_equal(bob_labels, expected)
         assert np.all(np.diff(bob_labels) > 0)
         assert alice_labels.size + bob_labels.size == 12_001
+        n_labels = {r["kind"]: r["n_labels"] for r in transcript.records
+                    if r["kind"] in ("send", "deliver")}
+        assert n_labels == {"send": alice_labels.size, "deliver": alice_labels.size}
 
     def test_empty_complement(self, monkeypatch):
         handles, messages = self._capture(monkeypatch)
@@ -237,14 +257,61 @@ class TestLabelPath:
         ens = create_ensemble(50, CS)
         result = run_single_frequency(ens, alice, bob, IDEAL,
                                       _schedules(n_points=3, batch=10),
-                                      _AllTypeI(), np.random.default_rng(0))
+                                      _ConstantStream(0.0), np.random.default_rng(0))
         assert np.array_equal(handles["type_i"].labels, np.arange(1, 51))
-        assert messages[0].labels == tuple(range(1, 51))
+        # 48 labels in six full bytes, then labels 49 and 50 and six clear padding bits
+        assert messages[0].type_i_bitmap == b"\xff" * 6 + b"\xc0"
         assert handles["type_ii"].size == 0
         assert handles["type_ii"].labels.dtype == np.int64
         # Bob has nothing to measure
         assert result.status == "inconclusive"
         assert result.reason == "budget_exhausted"
+
+    def test_full_complement(self, monkeypatch):
+        handles, messages = self._capture(monkeypatch)
+        alice, bob = _parties()
+        ens = create_ensemble(50, CS)
+        result = run_single_frequency(ens, alice, bob, IDEAL,
+                                      _schedules(n_points=3, batch=10),
+                                      _ConstantStream(0.75), np.random.default_rng(0))
+        assert handles["type_i"].size == 0
+        assert messages[0].type_i_bitmap == bytes(7)
+        assert np.array_equal(handles["type_ii"].labels, np.arange(1, 51))
+        assert handles["type_ii"].labels.dtype == np.int64
+        # Alice has nothing to measure
+        assert result.status == "inconclusive"
+        assert result.reason == "budget_exhausted"
+
+    @pytest.mark.parametrize("n_pairs", range(1, 18))
+    def test_bitmap_round_trip_sweep(self, n_pairs):
+        alice = _parties()[0]
+        labels = np.arange(1, n_pairs + 1)
+        for seed in range(20):
+            type_i = np.random.default_rng(seed).random(n_pairs) < 0.5
+            msg = broadcast_labels(IDEAL, alice, CS, type_i, 0.0, np.random.default_rng(0))
+            payload = msg.type_i_bitmap
+            assert len(payload) == math.ceil(n_pairs / 8)
+            bob_labels = complement_labels(payload, n_pairs)
+            assert bob_labels.dtype == np.int64
+            assert np.array_equal(bob_labels, np.setdiff1d(labels, labels[type_i]))
+            for bad in (payload[:-1], payload + b"\x00"):
+                with pytest.raises(ValueError, match="bytes"):
+                    complement_labels(bad, n_pairs)
+            for bit in range(n_pairs % 8 and 8 - n_pairs % 8):
+                padded = payload[:-1] + bytes([payload[-1] | (1 << bit)])
+                with pytest.raises(ValueError, match="padding"):
+                    complement_labels(padded, n_pairs)
+
+    def test_bob_rejects_malformed_payload(self, monkeypatch):
+        broadcast = protocol.broadcast_labels
+
+        def truncate(*args):
+            msg = broadcast(*args)
+            return dataclasses.replace(msg, type_i_bitmap=msg.type_i_bitmap[:-1])
+
+        monkeypatch.setattr(protocol, "broadcast_labels", truncate)
+        with pytest.raises(ValueError, match="bytes"):
+            _run(n_pairs=12_001)
 
     def test_fixed_seed_run_is_pinned(self):
         # Values produced by the setdiff1d-based complement this path replaced;

@@ -258,6 +258,9 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
     if not n_pairs_ok:
         err("n_pairs", "an integer >= 1", config.n_pairs)
 
+    envelope = config.mode in ("two_frequency", "time_origin")
+    min_points = ((5, "an integer >= 5 (an envelope fit needs 5 points)") if envelope
+                  else (3, "an integer >= 3 (distinct times needed for a phase fit)"))
     schedules = [("schedule", config.schedule)]
     if config.bob_schedule is not None:  # else Bob uses Alice's, checked once
         schedules.append(("bob_schedule", config.bob_schedule))
@@ -273,14 +276,18 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
         for key in bad_bounds:
             err(f"{name}.{key}", "a finite number", sched[key])
         counts_ok = True
-        for key, low, constraint in (
-                ("n_points", 3, "an integer >= 3 (distinct times needed for a phase fit)"),
-                ("batch_size", 1, "an integer >= 1")):
+        for key, low, constraint in (("n_points", *min_points),
+                                     ("batch_size", 1, "an integer >= 1")):
             if not _is_count(sched[key], low):
                 err(f"{name}.{key}", constraint, sched[key])
                 counts_ok = False
         if not bad_bounds and sched["stop"] <= sched["start"]:
             err(f"{name}.stop", "> start", (sched["start"], sched["stop"]))
+        elif not bad_bounds and counts_ok:
+            try:  # e.g. fine spacing at 1e20 s gives repeated linspace times
+                _schedule_from(sched)
+            except ValueError as exc:
+                err(name, str(exc), sched)
         budget = sched["n_points"] * sched["batch_size"] if counts_ok else 0
         if n_pairs_ok and budget > _budget_limit(config.n_pairs):
             err(f"{name}", "n_points * batch_size within N/2 minus 5-sigma margin",
@@ -323,6 +330,9 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
             err("delta", "delta and bob_phase disagree (give one, or consistent values)",
                 {"delta": config.delta, "bob_phase": config.bob_phase})
 
+    if envelope and not any(d.severity == "error" for d in diags):
+        diags.extend(_envelope_spacing_diagnostics(config))
+
     if to_ok and not diags:
         t_max = math.pi / config.time_origin["delta_omega"]
         sched = config.bob_schedule or config.schedule
@@ -330,6 +340,28 @@ def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
             warn("schedule.stop", "should bracket the first envelope maximum pi/delta_omega",
                  {"stop": sched.get("stop"), "t_max": t_max})
     return diags
+
+
+def _envelope_spacing_diagnostics(config: ScenarioConfig) -> list[Diagnostic]:
+    """envelope_phase's resolution rule, max gap < pi/(omega1 + omega2), on
+    the local times each party's beat series will carry: its schedule taken
+    to global time and back, as the run does, so the two tests agree to the
+    last bit. Called once the rest of a two-species config is valid."""
+    species = (_time_origin_species_dicts(config.time_origin)
+               if config.mode == "time_origin" else config.species)
+    limit = math.pi / (float(species[0]["omega"]) + float(species[1]["omega"]))
+    bob_field = "schedule" if config.bob_schedule is None else "bob_schedule"
+    gaps: dict[str, float] = {}
+    for name, sched, offset in (
+            ("schedule", config.schedule, config.alice_clock_offset),
+            (bob_field, config.bob_schedule or config.schedule, config.bob_clock_offset)):
+        local = np.asarray(_schedule_from(sched).times) - float(offset) + float(offset)
+        gap = float(np.max(np.diff(local)))
+        if gap >= limit:
+            gaps.setdefault(name, gap)
+    return [Diagnostic(name, f"sample spacing < pi/(omega1 + omega2) = {limit:.4g} s "
+                       "(an envelope fit must resolve the fast oscillation)", {"max_gap": gap})
+            for name, gap in gaps.items()]
 
 
 def _qcs_cell_diagnostics(config: ScenarioConfig, base: dict) -> list[Diagnostic]:

@@ -162,7 +162,8 @@ def alice_collapse_all(ensemble: Ensemble, t0: float, phi_a, rng: np.random.Gene
 
     Each pair collapses to Type I (Alice saw pos) or Type II (Alice saw neg)
     with probability 1/2 each, one uniform draw per pair in label order.
-    Returns (type_i_labels, type_ii_labels).
+    Returns the ascending Type-I labels; the Type-II pairs are the rest
+    (ensemble.type_i is False there).
     """
     if ensemble.type_i is not None:
         raise ProtocolOrderError("ensemble already collapsed (pairs are not all idle)")
@@ -176,8 +177,8 @@ def alice_collapse_all(ensemble: Ensemble, t0: float, phi_a, rng: np.random.Gene
     ensemble.type_i = np.less(rng.random(ensemble.n_pairs), 0.5, out=type_i)
     ensemble.t0 = float(t0)
     ensemble.collapse_phi = _as_phi(phi_a)
-    # label = index + 1, so the positions of each type are its labels
-    return np.flatnonzero(ensemble.type_i) + 1, np.flatnonzero(~ensemble.type_i) + 1
+    # label = index + 1, so the positions of the Type-I pairs are their labels
+    return np.flatnonzero(ensemble.type_i) + 1
 
 
 class SubensembleHandle:

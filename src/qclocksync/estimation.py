@@ -6,7 +6,11 @@ squares in the (a, b, c) parametrization p(t) = a cos(w t) + b sin(w t) + c,
 which is convex and has no initialization sensitivity. The beat-envelope fit
 profiles the single nonlinear fast-phase parameter over a grid and polishes
 it with bounded scalar minimization; for each candidate fast phase the
-envelope parameters are an exact linear subproblem.
+envelope parameters are an exact linear subproblem. The grid's chi2 values
+come in one closed-form array pass (_profile_chi2): expanding the fast
+factor in cos/sin of the fast phase turns every grid point's 2x2 normal
+equations into quadratic forms over one 4x4 Gram matrix. The polish and the
+final fit solve the subproblem directly (_weighted_lstsq).
 """
 
 from __future__ import annotations
@@ -74,6 +78,41 @@ def _weighted_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     return beta, cov, float(resid @ resid)
 
 
+def _profile_chi2(ce: np.ndarray, se: np.ndarray, wft: np.ndarray, y: np.ndarray,
+                  w: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """chi2 of the envelope's linear subproblem at each fast phase in psi.
+
+    Column k of the design at fast phase p is env_k * sin(wft + p), with env =
+    (ce, se). Since sin(wft + p) = sin(wft) cos p + cos(wft) sin p, its normal
+    matrix A(p) and right side b(p) are quadratic and linear forms in
+    (cos p, sin p) over the Gram matrix and moment vector of the weighted
+    basis [ce sf, ce cf, se sf, se cf]: O(n) work, then O(len(psi)). chi2 is
+    yw.yw - b^T A^-1 b with the closed-form 2x2 inverse. A point that fails
+    _weighted_lstsq's rank rule gets inf, so no NaN reaches an argmin.
+    """
+    sw = np.sqrt(w)
+    sf, cf = np.sin(wft), np.cos(wft)
+    basis = np.column_stack([ce * sf, ce * cf, se * sf, se * cf]) * sw[:, None]
+    yw = y * sw
+    gram = basis.T @ basis
+    moment = basis.T @ yw
+    c, s = np.cos(psi), np.sin(psi)
+
+    def form(block):  # (c, s) block (c, s)^T for every grid point
+        return (block[0, 0] * c * c + (block[0, 1] + block[1, 0]) * c * s
+                + block[1, 1] * s * s)
+
+    a11, a12, a22 = form(gram[:2, :2]), form(gram[:2, 2:]), form(gram[2:, 2:])
+    b1 = c * moment[0] + s * moment[1]
+    b2 = c * moment[2] + s * moment[3]
+    normal = np.stack([np.stack([a11, a12], -1), np.stack([a12, a22], -1)], -2)
+    full_rank = np.linalg.matrix_rank(normal, tol=None) == 2
+    det = a11 * a22 - a12 * a12
+    with np.errstate(divide="ignore", invalid="ignore"):  # det is 0 where rank < 2
+        explained = (a22 * b1 * b1 - 2.0 * a12 * b1 * b2 + a11 * b2 * b2) / det
+    return np.where(full_rank, yw @ yw - explained, math.inf)
+
+
 def estimate_phase(series: PopulationSeries, species: ClockSpecies) -> PhaseEstimate:
     """Fit p_hat(t) = (1 + cos(w t + phase))/2 by weighted linear least squares.
 
@@ -129,8 +168,11 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
     Model: diff(t) = E sin(w_e t + psi_env) sin(w_f t + psi_fast) with
     w_e = |omega1 - omega2|/2 and w_f = (omega1 + omega2)/2. For fixed
     psi_fast the model is linear in (E sin psi_env, E cos psi_env), so
-    psi_fast is profiled over [0, pi) and refined; psi_env comes from the
-    linear subproblem at the optimum. The (psi_env, psi_fast) ->
+    psi_fast is profiled over a 96-point grid on [0, pi), all of whose chi2
+    values come from one closed-form array pass (_profile_chi2); bounded
+    scalar minimization then refines it between the best point's neighbours,
+    solving the subproblem directly. psi_env comes from the linear
+    subproblem at the optimum. The (psi_env, psi_fast) ->
     (psi_env + pi, psi_fast + pi) ambiguity is resolved on psi_env alone,
     which keeps the returned phase independent of any basis-phase offset
     hiding in psi_fast.
@@ -162,8 +204,7 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
             return math.inf
 
     grid = np.linspace(0.0, math.pi, 97)[:-1]
-    chis = np.array([chi2(p) for p in grid])
-    k = int(np.argmin(chis))
+    k = int(np.argmin(_profile_chi2(ce, se, w_f * t, beats.diff, w, grid)))
     step = grid[1] - grid[0]
     res = minimize_scalar(chi2, bounds=(grid[k] - step, grid[k] + step), method="bounded",
                           options={"xatol": 1e-12})

@@ -136,6 +136,10 @@ class ProtocolSchedules:
             raise ProtocolOrderError("Alice cannot sample before her collapse")
 
 
+# json.dumps(r, sort_keys=True) would build an equal encoder for every record
+_JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 class Transcript:
     """Ordered event log of a run, serializable as line-delimited JSON."""
 
@@ -148,7 +152,7 @@ class Transcript:
         self.records.append(rec)
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
+        return "".join(_JSONL_ENCODER.encode(r) + "\n" for r in self.records)
 
     @staticmethod
     def parse_jsonl(text: str) -> list[dict]:
@@ -315,9 +319,9 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
         t, _priority, kind, payload = events[pos]
         pos += 1
         if kind == "collapse":
-            type_i_labels, type_ii_labels = alice_collapse_all(ensemble, t, phi_a, quantum_rng)
+            type_i_labels = alice_collapse_all(ensemble, t, phi_a, quantum_rng)
             outcome.n_type_i = int(type_i_labels.shape[0])
-            outcome.n_type_ii = int(type_ii_labels.shape[0])
+            outcome.n_type_ii = ensemble.n_pairs - outcome.n_type_i
             alice_handle = select_subensemble(ensemble, type_i_labels, "type_i")
             if transcript is not None:
                 transcript.record("collapse", t, species=species.name,

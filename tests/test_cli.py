@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -16,6 +17,10 @@ BASE = {
     "channel": {},
     "seeds": {"quantum": 5, "channel": 6},
 }
+
+
+TWO_SPECIES = [{"name": "a", "omega": 2.0}, {"name": "b", "omega": 2.2}]
+TIME_ORIGIN = {"omega1": 2.0, "delta_omega": 0.2, "duration_T": 1.0}
 
 
 def _write(tmp_path, overrides=None, name="scenario.yaml"):
@@ -126,10 +131,21 @@ class TestValidate:
             "omega1": "2", "delta_omega": 0.2, "duration_T": 1.0}}, "time_origin.omega1"),
         ({"mode": "two_frequency", "species": [{"name": "a", "omega": 2.0},
                                                {"name": "a", "omega": 3.0}]}, "species"),
+        # envelope_phase's own rejections: under-resolved spacing, < 5 points
+        ({"mode": "two_frequency", "species": TWO_SPECIES, "schedule": {
+            "start": 0.0, "stop": 40.0, "n_points": 20, "batch_size": 200}}, "schedule"),
+        ({"mode": "two_frequency", "species": TWO_SPECIES, "schedule": {
+            **BASE["schedule"], "n_points": 4}}, "schedule.n_points"),
+        ({"mode": "time_origin", "time_origin": TIME_ORIGIN, "bob_schedule": {
+            **BASE["schedule"], "stop": 40.0}}, "bob_schedule"),
+        ({"schedule": {"start": 1e20, "stop": 1.00000000000001e20, "n_points": 1000,
+                       "batch_size": 4}}, "schedule"),
     ], ids=["inf-delta", "nan-delta", "string-omega", "nan-omega", "string-species",
             "number-species", "nameless-species", "nan-bob-offset", "string-alice-phase",
             "string-eta", "negative-seed", "string-seed", "collapse-after-sample",
-            "send-before-collapse", "string-omega1", "same-species-names"])
+            "send-before-collapse", "string-omega1", "same-species-names",
+            "unresolved-fast-oscillation", "too-few-envelope-points",
+            "unresolved-bob-schedule", "indistinct-schedule-times"])
     def test_malformed_scenario_exits_1(self, tmp_path, capsys, overrides, field):
         path = _write(tmp_path, overrides)
         assert main(["validate", path]) == 1
@@ -138,6 +154,23 @@ class TestValidate:
         assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [d["field"] for d in report["diagnostics"]] == [field]
+
+    # spacings within a few ulps of pi/(omega1 + omega2): validate rejects
+    # exactly the schedules whose envelope fit would fail (run exit 2)
+    def test_envelope_spacing_rule_matches_the_fit(self, tmp_path, capsys):
+        limit = math.pi / 4.2
+        codes = set()
+        for k in range(-6, 7):
+            stop = 0.1 + 20 * limit * (1.0 + k * 2.0**-52)
+            path = _write(tmp_path, {
+                "mode": "two_frequency", "species": TWO_SPECIES, "bob_clock_offset": -0.3,
+                "schedule": {"start": 0.1, "stop": stop, "n_points": 21, "batch_size": 50}})
+            code = main(["run", path, "-o", str(tmp_path / f"out{k}")])
+            codes.add(code)
+            out = capsys.readouterr().out
+            if code == 1:
+                assert [d["field"] for d in json.loads(out)["diagnostics"]] == ["schedule"]
+        assert codes == {0, 1}
 
     def test_integral_float_n_pairs_accepted(self, tmp_path, capsys):
         assert main(["validate", _write(tmp_path, {"n_pairs": 12000.0})]) == 0

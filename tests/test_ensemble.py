@@ -32,8 +32,8 @@ CS = ClockSpecies("cs", 2.0)
 def _collapsed(n=100, eta=0.0, t0=0.0, phi_a=0.0, seed=1):
     ens = create_ensemble(n, CS, eta)
     rng = np.random.default_rng(seed)
-    t1, t2 = alice_collapse_all(ens, t0, phi_a, rng)
-    return ens, t1, t2
+    t1 = alice_collapse_all(ens, t0, phi_a, rng)
+    return ens, t1, np.flatnonzero(~ens.type_i) + 1
 
 
 class TestLifecycle:
@@ -46,6 +46,8 @@ class TestLifecycle:
 
     def test_collapse_partitions_labels(self):
         ens, t1, t2 = _collapsed(n=1000)
+        # the returned labels are the Type-I mask's positions + 1, ascending
+        assert np.all(np.diff(t1) > 0)
         assert len(t1) + len(t2) == 1000
         assert set(t1).isdisjoint(t2)
         assert ens.type_i.dtype == bool and ens.type_i.shape == (1000,)

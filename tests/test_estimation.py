@@ -7,6 +7,9 @@ from qclocksync.ensemble import PopulationSeries
 from qclocksync.errors import EstimationError, InconclusiveError, RankDeficientError
 from qclocksync.estimation import (
     BeatSeries,
+    _beat_weights,
+    _profile_chi2,
+    _weighted_lstsq,
     beat_difference,
     envelope_phase,
     estimate_phase,
@@ -198,6 +201,84 @@ class TestEnvelopePhase:
         diff = rng.normal(0.0, 0.005, times.shape[0]).clip(-1, 1)
         beats = BeatSeries(times, diff, np.full(times.shape[0], 0.005))
         with pytest.raises(InconclusiveError):
+            envelope_phase(beats, OMEGA1, OMEGA2)
+
+
+FAST_GRID = np.linspace(0.0, math.pi, 97)[:-1]  # envelope_phase's psi_fast grid
+
+
+def _per_point_chi2(beats, omega1, omega2):
+    """Reference: one direct weighted least-squares solve per grid point."""
+    w_e, w_f = abs(omega1 - omega2) / 2.0, (omega1 + omega2) / 2.0
+    t, w = beats.times, _beat_weights(beats)
+    ce, se = np.cos(w_e * t), np.sin(w_e * t)
+    chis = []
+    for psi in FAST_GRID:
+        s = np.sin(w_f * t + psi)
+        try:
+            chis.append(_weighted_lstsq(np.column_stack([ce * s, se * s]), beats.diff, w)[2])
+        except RankDeficientError:
+            chis.append(math.inf)
+    return np.array(chis)
+
+
+def _grid_chi2(beats, omega1, omega2):
+    """The grid as envelope_phase profiles it, in one array pass."""
+    w_e, w_f = abs(omega1 - omega2) / 2.0, (omega1 + omega2) / 2.0
+    t = beats.times
+    return _profile_chi2(np.cos(w_e * t), np.sin(w_e * t), w_f * t, beats.diff,
+                         _beat_weights(beats), FAST_GRID)
+
+
+def _noisy_beats(seed, batch):
+    rng = np.random.default_rng(seed)
+    omega1 = rng.uniform(1.5, 2.5)
+    omega2 = omega1 + rng.uniform(0.15, 0.25)
+    times = np.linspace(0.2, 1.5 * math.pi / (omega2 - omega1), 400)
+    return _beat_series(omega1, omega2, rng.uniform(0, 2 * math.pi), times, batch, rng), \
+        omega1, omega2
+
+
+def _near_floor_beats(seed):
+    # envelope amplitude 2-6 x the per-point sigma, around the 3 x floor cut
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.02, 25.0, 400)
+    sigma = 0.05
+    w_e, w_f = (OMEGA2 - OMEGA1) / 2.0, (OMEGA1 + OMEGA2) / 2.0
+    clean = (rng.uniform(2.0, 6.0) * sigma * np.sin(w_e * times + rng.uniform(0, math.pi))
+             * np.sin(w_f * times + rng.uniform(0, 2 * math.pi)))
+    diff = np.clip(clean + rng.normal(0.0, sigma, times.shape[0]), -1.0, 1.0)
+    return BeatSeries(times, diff, np.full(times.shape[0], sigma))
+
+
+class TestProfileGrid:
+    def _assert_grid_matches(self, beats, omega1, omega2):
+        ref = _per_point_chi2(beats, omega1, omega2)
+        vec = _grid_chi2(beats, omega1, omega2)
+        assert not np.isnan(vec).any()
+        np.testing.assert_allclose(vec, ref, rtol=1e-10, atol=0.0)
+        assert np.argmin(vec) == np.argmin(ref)
+
+    @pytest.mark.parametrize("batch", [20, 50, 500])
+    def test_noisy_grid_equals_per_point_solves(self, batch):
+        for seed in range(70):
+            self._assert_grid_matches(*_noisy_beats(8000 + 100 * batch + seed, batch))
+
+    def test_noiseless_grid_equals_per_point_solves(self):
+        times = np.linspace(0.02, 25.0, 600)
+        self._assert_grid_matches(_beat_series(OMEGA1, OMEGA2, 0.7, times), OMEGA1, OMEGA2)
+
+    def test_near_noise_floor_grid_equals_per_point_solves(self):
+        for seed in range(40):
+            self._assert_grid_matches(_near_floor_beats(9000 + seed), OMEGA1, OMEGA2)
+
+    def test_degenerate_series_is_rank_deficient_everywhere(self):
+        # all times 0: the se column vanishes, so every grid point's normal
+        # matrix is singular and its closed-form chi2 is 0/0; none is NaN
+        beats = BeatSeries(np.zeros(8), np.full(8, 0.1), np.full(8, 0.01))
+        assert np.all(np.isposinf(_grid_chi2(beats, OMEGA1, OMEGA2)))
+        assert np.all(np.isposinf(_per_point_chi2(beats, OMEGA1, OMEGA2)))
+        with pytest.raises(RankDeficientError):
             envelope_phase(beats, OMEGA1, OMEGA2)
 
 

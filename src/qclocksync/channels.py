@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import blame
+
 SPEED_OF_LIGHT = 299792458.0  # m/s
 
 
@@ -63,12 +65,13 @@ class MediumModel:
         # NaN and inf fail too: es_rms_error's np.maximum would pass a NaN
         # index on, where einstein_sync's max(1.0, nan) gives 1.0
         if not (self.distance > 0.0 and math.isfinite(self.distance)):
-            raise ValueError("distance must be a finite number > 0")
+            raise blame(ValueError("distance must be a finite number > 0"), "distance")
         if not (self.mean_index >= 1.0 and math.isfinite(self.mean_index)):
-            raise ValueError("mean_index must be a finite number >= 1")
+            raise blame(ValueError("mean_index must be a finite number >= 1"), "mean_index")
         sigma = self.index_fluctuation_sigma
         if not (sigma >= 0.0 and math.isfinite(sigma)):
-            raise ValueError("index_fluctuation_sigma must be a finite number >= 0")
+            raise blame(ValueError("index_fluctuation_sigma must be a finite number >= 0"),
+                        "index_fluctuation_sigma")
 
 
 @dataclass(frozen=True)

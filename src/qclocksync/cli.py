@@ -7,6 +7,7 @@ protocol outcome.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import json
 import os
@@ -19,6 +20,7 @@ from .config import (
     EXIT_INVALID_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME_ERROR,
+    Diagnostic,
     ScenarioConfig,
     load_config,
     run_scenario,
@@ -31,10 +33,13 @@ def _load(path: str) -> ScenarioConfig:
     try:
         return load_config(path)
     except (ConfigError, OSError, ValueError, yaml.YAMLError) as exc:
-        print(json.dumps({"diagnostics": [{
-            "field": "config", "constraint": "loadable YAML mapping",
-            "observed": str(exc), "severity": "error"}]}))
-        raise SystemExit(EXIT_INVALID_CONFIG)
+        raise SystemExit(_invalid("config", "loadable YAML mapping", str(exc)))
+
+
+def _invalid(field: str, constraint: str, observed) -> int:
+    """Print one diagnostic, as validate and run print theirs; returns exit code 1."""
+    print(json.dumps({"diagnostics": [Diagnostic(field, constraint, observed).to_dict()]}))
+    return EXIT_INVALID_CONFIG
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
@@ -67,22 +72,13 @@ def cmd_sweep(args) -> int:
     try:
         values = json.loads(args.values)
     except json.JSONDecodeError as exc:
-        print(json.dumps({"diagnostics": [{
-            "field": "--values", "constraint": "a JSON list", "observed": str(exc),
-            "severity": "error"}]}))
-        return EXIT_INVALID_CONFIG
+        return _invalid("--values", "a JSON list", str(exc))
     if not isinstance(values, list) or not values:
-        print(json.dumps({"diagnostics": [{
-            "field": "--values", "constraint": "a non-empty JSON list",
-            "observed": values, "severity": "error"}]}))
-        return EXIT_INVALID_CONFIG
+        return _invalid("--values", "a non-empty JSON list", values)
 
     out_dir = args.output_dir or config.output_dir
     if out_dir is None:
-        print(json.dumps({"diagnostics": [{
-            "field": "output_dir", "constraint": "required", "observed": None,
-            "severity": "error"}]}))
-        return EXIT_INVALID_CONFIG
+        return _invalid("output_dir", "required", None)
     os.makedirs(out_dir, exist_ok=True)
 
     q_children = np.random.SeedSequence(int(config.seeds["quantum"])).spawn(len(values))
@@ -90,9 +86,11 @@ def cmd_sweep(args) -> int:
     rows = []
     worst = EXIT_OK
     for i, value in enumerate(values):
-        cell = ScenarioConfig.from_dict(config.to_dict())
-        _set_dotted(cell, args.param, value)
-        cell.seeds = dict(cell.seeds)
+        raw = copy.deepcopy(config.to_dict())
+        if not _set_dotted(raw, args.param, value):
+            return _invalid("--param", "a dotted path to a config field (list items by index)",
+                            args.param)
+        cell = ScenarioConfig.from_dict(raw)
         cell.seeds["quantum"] = int(q_children[i].generate_state(1)[0])
         cell.seeds["channel"] = int(c_children[i].generate_state(1)[0])
         cell_dir = os.path.join(out_dir, f"cell_{i:03d}")
@@ -112,17 +110,24 @@ def cmd_sweep(args) -> int:
     return worst
 
 
-def _set_dotted(config: ScenarioConfig, path: str, value) -> None:
-    parts = path.split(".")
-    target = config
-    for p in parts[:-1]:
-        target = getattr(target, p) if not isinstance(target, dict) else target[p]
-    if isinstance(target, dict):
-        target[parts[-1]] = value
-    else:
-        if not hasattr(target, parts[-1]):
-            raise ConfigError(f"unknown config field {path!r}")
-        setattr(target, parts[-1], value)
+def _set_dotted(raw: dict, path: str, value) -> bool:
+    """Set the field of a config dict at a dotted path, indexing lists by
+    integer; False if the path leads to no field (a new key may be set in a
+    nested mapping, where validation judges it)."""
+    *parents, last = path.split(".")
+    target = raw
+    try:
+        for key in parents:
+            target = target[int(key) if isinstance(target, list) else key]
+        if isinstance(target, list):
+            target[int(last)] = value
+        elif isinstance(target, dict) and (target is not raw or last in raw):
+            target[last] = value
+        else:
+            return False
+    except (KeyError, IndexError, TypeError, ValueError):
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,10 +167,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     except ConfigError as exc:
-        print(json.dumps({"diagnostics": [{
-            "field": "config", "constraint": str(exc), "observed": None,
-            "severity": "error"}]}))
-        return EXIT_INVALID_CONFIG
+        return _invalid("config", str(exc), None)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

@@ -28,12 +28,14 @@ from . import __version__
 from .channels import SPEED_OF_LIGHT, ChannelModel, MediumModel, es_rms_error
 from .ensemble import SamplingSchedule, create_ensemble
 from .errors import ConfigError, QcsError
+from .estimation import check_envelope_grid, check_phase_grid
 from .protocol import (
     PartyConfig,
     ProtocolSchedules,
     SyncResult,
     TimeOriginConfig,
     Transcript,
+    check_distinct_species,
     establish_time_origin,
     run_single_frequency,
     run_two_frequency,
@@ -61,8 +63,7 @@ class Diagnostic:
     severity: str = "error"  # 'error' blocks the run, 'warning' does not
 
     def to_dict(self) -> dict:
-        return {"field": self.field, "constraint": self.constraint,
-                "observed": self.observed, "severity": self.severity}
+        return dataclasses.asdict(self)
 
 
 @dataclass
@@ -117,293 +118,283 @@ def _schedule_from(d: dict) -> SamplingSchedule:
     return SamplingSchedule(tuple(float(t) for t in times), int(d["batch_size"]))
 
 
-def _is_count(value, low: int) -> bool:
-    """True for an integer (an integral float included, bool excluded) >= low."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    return float(value).is_integer() and value >= low
-
-
-def _is_finite(value) -> bool:
-    """True for a finite int or float (bool and numeric strings excluded)."""
-    return (not isinstance(value, bool) and isinstance(value, (int, float))
-            and math.isfinite(value))
-
-
-def _to_float(value) -> float | None:
-    """value as a float, or None if it is not a number (bool excluded).
-
-    Numeric strings count: YAML reads an exponent without a sign (1.0e6) as
-    a string."""
-    if isinstance(value, bool):
-        return None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        return None
-
-
-def _medium_fault(**fields) -> str | None:
-    """MediumModel's objection to these fields (the others at a valid
-    default), or None; the medium's rules live in MediumModel alone."""
-    try:
-        MediumModel(**{"distance": 1.0, **fields})
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
 def _budget_limit(n_pairs: int) -> float:
     # Subensemble size is Binomial(N, 1/2); allow expectation minus 5 sigma.
     return n_pairs / 2.0 - 2.5 * math.sqrt(n_pairs)
 
 
-def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
-    """All load-time diagnostics; the config is runnable iff none has
-    severity 'error'."""
-    diags: list[Diagnostic] = []
+@dataclass
+class Scenario:
+    """A valid scenario as its run uses it: the resolved config (what
+    config_echo.yaml holds) and the objects built from it."""
 
-    def err(field_, constraint, observed):
-        diags.append(Diagnostic(field_, constraint, observed, "error"))
+    config: ScenarioConfig
+    species: list[ClockSpecies] = field(default_factory=list)
+    alice: PartyConfig | None = None
+    bob: PartyConfig | None = None
+    schedules: ProtocolSchedules | None = None
+    channel: ChannelModel | None = None
+    time_origin: TimeOriginConfig | None = None
+    # baseline_sweep: (medium, its QCS cell) per grid point, sigma-major
+    grid: list[tuple[MediumModel, Scenario]] = field(default_factory=list)
+    n_trials: int = 0
+    n_qcs_seeds: int = 0
 
-    def warn(field_, constraint, observed):
-        diags.append(Diagnostic(field_, constraint, observed, "warning"))
 
+def _as_float(value, strings: bool = False) -> float:
+    """value as a float if it is an int or a float (not a bool), or a string
+    where strings is set (YAML reads 1.0e6 as one); else, or on overflow, NaN."""
+    try:
+        return float(value if type(value) in (int, float)
+                     or strings and isinstance(value, str) else math.nan)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
+class _Schema:
+    """One scenario's diagnostics, and the field parsers that record them:
+    each returns the parsed value, or None once it has recorded a
+    Diagnostic. A field keeps its first diagnostic only."""
+
+    def __init__(self, prefix: str = ""):
+        self.prefix, self.diags = prefix, []
+
+    @property
+    def ok(self) -> bool:
+        return all(d.severity != "error" for d in self.diags)
+
+    def error(self, field_: str, constraint: str, observed, severity: str = "error") -> None:
+        field_ = self.prefix + field_
+        if all(d.field != field_ for d in self.diags):
+            self.diags.append(Diagnostic(field_, constraint, observed, severity))
+
+    def number(self, field_: str, value, strings: bool = False,
+               constraint: str = "a finite number") -> float | None:
+        x = _as_float(value, strings)
+        if math.isfinite(x):
+            return x
+        self.error(field_, constraint, value)
+
+    def count(self, field_: str, value, low: int) -> int | None:
+        """value as an int >= low: an int or an integral float."""
+        if _as_float(value).is_integer() and value >= low:
+            return int(value)
+        self.error(field_, f"an integer >= {low}", value)
+
+    def mapping(self, field_: str, value, keys: tuple, required: bool = False) -> dict | None:
+        """value if it is a mapping with no key outside keys, and with all of
+        them if required."""
+        if not isinstance(value, dict):
+            return self.error(field_, f"a mapping of {', '.join(keys)}", value)
+        missing = [k for k in keys if k not in value] if required else []
+        if missing:
+            self.error(field_, f"missing keys {missing}", value)
+        unknown = [k for k in value if k not in keys]
+        for key in unknown:
+            self.error(f"{field_}.{key}", f"one of {', '.join(keys)}", value[key])
+        return None if missing or unknown else value
+
+    def build(self, fields, make, *args, observed=None, rule: str = ""):
+        """make(*args): a constructor or check of the run. Its objection is
+        recorded under fields, a field or a map from the argument the error
+        names (errors.blame) to a field, with None for any other."""
+        try:
+            return make(*args)
+        except (TypeError, ValueError, QcsError) as exc:
+            if not isinstance(fields, str):
+                fields = fields[getattr(exc, "param", None)]
+            self.error(fields, f"{rule} ({exc})" if rule else str(exc), observed)
+
+
+_SEEDS = ("quantum", "channel", "delta")
+_SCHEDULE = ("start", "stop", "n_points", "batch_size")
+_TIME_ORIGIN = ("omega1", "delta_omega", "duration_T")
+_BASELINE = ("sigma_grid", "distance_grid", "n_trials", "mean_index", "n_qcs_seeds",
+             "qcs_scenario")
+
+
+def parse_config(config: ScenarioConfig,
+                 prefix: str = "") -> tuple[Scenario | None, list[Diagnostic]]:
+    """The Scenario that config describes (None if a diagnostic has severity
+    'error') and every diagnostic, each field name led by prefix.
+
+    Field parsers check each field. The rules that tie fields together are
+    those of the objects the run uses, which are built once the fields pass.
+    """
+    schema = _Schema(prefix)
     if config.mode not in MODES:
-        err("mode", f"one of {MODES}", config.mode)
-        return diags
+        schema.error("mode", f"one of {MODES}", config.mode)
+        return None, schema.diags
+    seeds = schema.mapping("seeds", config.seeds, _SEEDS)
+    for key in _SEEDS if seeds is not None else ():
+        schema.count(f"seeds.{key}", seeds.get(key), 0)
+    parse = _parse_baseline if config.mode == "baseline_sweep" else _parse_protocol
+    scenario = parse(schema, config)
+    return (scenario if schema.ok else None), schema.diags
 
-    for key in ("quantum", "channel", "delta"):
-        if not _is_count(config.seeds[key], 0):
-            err(f"seeds.{key}", "an integer >= 0", config.seeds[key])
 
-    if config.mode == "baseline_sweep":
-        base = config.baseline or {}
-        if not isinstance(base, dict):
-            err("baseline", "a mapping with sigma_grid, distance_grid, n_trials", base)
-            return diags
-        for key, param in (("sigma_grid", "index_fluctuation_sigma"),
-                           ("distance_grid", "distance")):
-            grid = base.get(key)
-            if not grid or not isinstance(grid, (list, tuple)):
-                err(f"baseline.{key}", "non-empty list required", grid)
-                continue
-            vals = [_to_float(v) for v in grid]
-            if None in vals:
-                err(f"baseline.{key}", "numeric values required", grid)
-                continue
-            fault = next(filter(None, (_medium_fault(**{param: v}) for v in vals)), None)
-            if fault:
-                err(f"baseline.{key}", fault, grid)
-        mean_index = _to_float(base.get("mean_index", 1.0))
-        fault = ("a finite number >= 1" if mean_index is None
-                 else _medium_fault(mean_index=mean_index))
-        if fault:
-            err("baseline.mean_index", fault, base.get("mean_index"))
-        if not _is_count(base.get("n_trials"), 1):
-            err("baseline.n_trials", "an integer >= 1", base.get("n_trials"))
-        if not _is_count(base.get("n_qcs_seeds", 20), 1):
-            err("baseline.n_qcs_seeds", "an integer >= 1", base.get("n_qcs_seeds"))
-        if not diags:
-            diags.extend(_qcs_cell_diagnostics(config, base))
-        return diags
+def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
+    """All load-time diagnostics; the config runs iff none is an 'error'."""
+    return parse_config(config)[1]
 
-    # quantum-protocol modes
-    to_ok = False
+
+def _parse_schedule(schema: _Schema, name: str, raw, n_pairs: int | None):
+    sched = schema.mapping(name, raw, _SCHEDULE, required=True)
+    if sched is None:
+        return None
+    start, stop = (schema.number(f"{name}.{k}", sched[k]) for k in ("start", "stop"))
+    n_points = schema.count(f"{name}.n_points", sched["n_points"], 1)
+    batch_size = schema.count(f"{name}.batch_size", sched["batch_size"], 1)
+    if None in (start, stop, n_points, batch_size, n_pairs):
+        return None
+    if n_points * batch_size > _budget_limit(n_pairs):
+        return schema.error(name, "n_points * batch_size within N/2 minus 5-sigma margin",
+                            {"requested": n_points * batch_size,
+                             "limit": _budget_limit(n_pairs)})
+    return schema.build(name, _schedule_from, sched, observed=sched)
+
+
+def _parse_protocol(schema: _Schema, config: ScenarioConfig) -> Scenario | None:
+    """A quantum-protocol mode: species, parties, schedules and channel."""
+    to_cfg = None
     if config.mode == "time_origin":
-        to = config.time_origin
-        if not isinstance(to, dict):
-            err("time_origin", "a mapping with omega1, delta_omega, duration_T", to)
-        else:
-            n_before = len(diags)
-            for key in ("omega1", "delta_omega", "duration_T"):
-                if key not in to:
-                    err(f"time_origin.{key}", "required", None)
-                elif not (_is_finite(to[key]) and to[key] > 0):
-                    err(f"time_origin.{key}", "a finite number > 0", to[key])
-            to_ok = len(diags) == n_before
-            if to_ok and not to["delta_omega"] * to["duration_T"] < math.pi / 2.0:
-                err("time_origin", "delta_omega * duration_T < pi/2 (strict)",
-                    to["delta_omega"] * to["duration_T"])
-                to_ok = False
+        to = schema.mapping("time_origin", config.time_origin, _TIME_ORIGIN)
+        values = [None] if to is None else [
+            schema.number(f"time_origin.{k}", to.get(k)) for k in _TIME_ORIGIN]
+        if None not in values:
+            to_cfg = schema.build(
+                {"omega1": "time_origin.omega1", "delta_omega": "time_origin.delta_omega",
+                 "protocol_duration_T": "time_origin.duration_T", None: "time_origin"},
+                TimeOriginConfig, *values, observed=to)
     else:
         want = 2 if config.mode == "two_frequency" else 1
-        species = config.species if isinstance(config.species, list) else []
-        if not isinstance(config.species, list) or len(species) != want:
-            err("species", f"a list of exactly {want} species for mode {config.mode}",
-                config.species)
-        for i, sp in enumerate(species):
-            if not isinstance(sp, dict):
-                err(f"species[{i}]", "a mapping with name and omega", sp)
-                continue
-            if not (isinstance(sp.get("name"), str) and sp["name"]):
-                err(f"species[{i}].name", "a non-empty string", sp.get("name"))
-            if not (_is_finite(sp.get("omega")) and sp["omega"] > 0):
-                err(f"species[{i}].omega", "a finite number > 0", sp.get("omega"))
-        if want == 2 and len(species) == 2 and all(isinstance(sp, dict) for sp in species):
-            if species[0].get("omega") == species[1].get("omega"):
-                err("species", "two distinct frequencies required", species[0].get("omega"))
-            if species[0].get("name") == species[1].get("name"):
-                err("species", "two distinct names required", species[0].get("name"))
-
+        listed = config.species if isinstance(config.species, list) else []
+        if len(listed) != want or listed is not config.species:
+            schema.error("species", f"a list of exactly {want} species for mode {config.mode}",
+                         config.species)
+        for i, sp in enumerate(listed):
+            if schema.mapping(f"species[{i}]", sp, ("name", "omega")) is not None:
+                schema.number(f"species[{i}].omega", sp.get("omega"))
     for key in ("eta", "alice_phase", "alice_clock_offset", "bob_clock_offset",
                 "collapse_time", "bob_phase", "send_time"):
         value = getattr(config, key)
-        if key in ("bob_phase", "send_time") and value is None:
-            continue  # derived when the scenario leaves it out
-        if not _is_finite(value):
-            err(key, "a finite number", value)
+        if value is not None or key not in ("bob_phase", "send_time"):  # else derived
+            schema.number(key, value)
+    if config.delta not in (None, "random"):
+        schema.number("delta", config.delta, constraint="a finite number, 'random', or null")
+    n_pairs = schema.count("n_pairs", config.n_pairs, 1)
+    alice_sched = _parse_schedule(schema, "schedule", config.schedule, n_pairs)
+    bob_sched = (alice_sched if config.bob_schedule is None  # Bob samples on Alice's grid
+                 else _parse_schedule(schema, "bob_schedule", config.bob_schedule, n_pairs))
+    channel = schema.build("channel", lambda: ChannelModel(**(config.channel or {})),
+                           observed=config.channel)
+    if channel is not None and channel.loss_probability >= 1.0:
+        schema.error("channel.loss_probability", "< 1 (protocol will always abort)",
+                     channel.loss_probability, "warning")
+    if not schema.ok:
+        return None
+    # of the derived fields only bob_phase = alice_phase - delta can fail (overflow)
+    resolved = schema.build("delta", resolve_config, config, observed=config.delta)
+    if resolved is None:
+        return None
+    if config.delta is not None and config.bob_phase is not None:
+        # both are given in an echoed config, and must agree; a drawn delta cannot
+        implied = resolved.alice_phase - resolved.delta
+        if config.delta == "random" or not (math.isfinite(implied) and abs(
+                normalize_phase(implied) - normalize_phase(resolved.bob_phase)) <= 1e-9):
+            schema.error("delta", "a number that agrees with bob_phase, when both are given",
+                         {"delta": config.delta, "bob_phase": config.bob_phase})
 
-    n_pairs_ok = _is_count(config.n_pairs, 1)
-    if not n_pairs_ok:
-        err("n_pairs", "an integer >= 1", config.n_pairs)
-
-    envelope = config.mode in ("two_frequency", "time_origin")
-    min_points = ((5, "an integer >= 5 (an envelope fit needs 5 points)") if envelope
-                  else (3, "an integer >= 3 (distinct times needed for a phase fit)"))
-    schedules = [("schedule", config.schedule)]
-    if config.bob_schedule is not None:  # else Bob uses Alice's, checked once
-        schedules.append(("bob_schedule", config.bob_schedule))
-    for name, sched in schedules:
-        if not isinstance(sched, dict):
-            err(name, "a mapping with start, stop, n_points, batch_size", sched)
-            continue
-        missing = [k for k in ("start", "stop", "n_points", "batch_size") if k not in sched]
-        if missing:
-            err(name, f"missing keys {missing}", sched)
-            continue
-        bad_bounds = [k for k in ("start", "stop") if not _is_finite(sched[k])]
-        for key in bad_bounds:
-            err(f"{name}.{key}", "a finite number", sched[key])
-        counts_ok = True
-        for key, low, constraint in (("n_points", *min_points),
-                                     ("batch_size", 1, "an integer >= 1")):
-            if not _is_count(sched[key], low):
-                err(f"{name}.{key}", constraint, sched[key])
-                counts_ok = False
-        if not bad_bounds and sched["stop"] <= sched["start"]:
-            err(f"{name}.stop", "> start", (sched["start"], sched["stop"]))
-        elif not bad_bounds and counts_ok:
-            try:  # e.g. fine spacing at 1e20 s gives repeated linspace times
-                _schedule_from(sched)
-            except ValueError as exc:
-                err(name, str(exc), sched)
-        budget = sched["n_points"] * sched["batch_size"] if counts_ok else 0
-        if n_pairs_ok and budget > _budget_limit(config.n_pairs):
-            err(f"{name}", "n_points * batch_size within N/2 minus 5-sigma margin",
-                {"requested": budget, "limit": _budget_limit(config.n_pairs)})
-
-    # Alice's collapse, her send and her first sample, all in her local time
-    collapse = config.collapse_time
-    if _is_finite(collapse):
-        if _is_finite(config.send_time) and config.send_time < collapse:
-            err("send_time", ">= collapse_time (labels follow the collapse)",
-                {"send_time": config.send_time, "collapse_time": collapse})
-        start = config.schedule.get("start") if isinstance(config.schedule, dict) else None
-        if _is_finite(start) and start < collapse:
-            err("collapse_time", "<= schedule.start (Alice samples after her collapse)",
-                {"collapse_time": collapse, "start": start})
-
-    ch = config.channel or {}
-    try:
-        # the channel rules live in ChannelModel alone
-        channel = ChannelModel(**ch)
-    except (TypeError, ValueError) as exc:
-        err("channel", str(exc), ch)
-    else:
-        if channel.loss_probability >= 1.0:
-            warn("channel.loss_probability", "< 1 (protocol will always abort)",
-                 channel.loss_probability)
-
-    if config.delta == "random":
-        if config.bob_phase is not None:
-            # a drawn delta cannot be known to agree with a fixed bob_phase
-            err("delta", "'random' excludes bob_phase (give one)",
-                {"delta": config.delta, "bob_phase": config.bob_phase})
-    elif config.delta is not None and not _is_finite(config.delta):
-        err("delta", "a finite number, 'random', or null", config.delta)
-    elif (config.delta is not None and _is_finite(config.bob_phase)
-          and _is_finite(config.alice_phase)):
-        # both may appear in an echoed config, but only if they agree
-        implied = normalize_phase(config.alice_phase - float(config.delta))
-        if abs(implied - normalize_phase(config.bob_phase)) > 1e-9:
-            err("delta", "delta and bob_phase disagree (give one, or consistent values)",
-                {"delta": config.delta, "bob_phase": config.bob_phase})
-
-    if envelope and not any(d.severity == "error" for d in diags):
-        diags.extend(_envelope_spacing_diagnostics(config))
-
-    if to_ok and not diags:
-        t_max = math.pi / config.time_origin["delta_omega"]
-        sched = config.bob_schedule or config.schedule
-        if sched.get("stop", 0) < t_max:
-            warn("schedule.stop", "should bracket the first envelope maximum pi/delta_omega",
-                 {"stop": sched.get("stop"), "t_max": t_max})
-    return diags
-
-
-def _envelope_spacing_diagnostics(config: ScenarioConfig) -> list[Diagnostic]:
-    """envelope_phase's resolution rule, max gap < pi/(omega1 + omega2), on
-    the local times each party's beat series will carry: its schedule taken
-    to global time and back, as the run does, so the two tests agree to the
-    last bit. Called once the rest of a two-species config is valid."""
-    species = (_time_origin_species_dicts(config.time_origin)
-               if config.mode == "time_origin" else config.species)
-    limit = math.pi / (float(species[0]["omega"]) + float(species[1]["omega"]))
+    species = []
+    for i, sp in enumerate(resolved.species):  # time_origin: the tones resolve_config derives
+        fields = "time_origin" if to_cfg else {"name": f"species[{i}].name",
+                                                "omega": f"species[{i}].omega"}
+        species.append(schema.build(fields, ClockSpecies, sp.get("name"), float(sp["omega"]),
+                                    observed=sp))
+    if not schema.ok:
+        return None
+    names = [sp.name for sp in species]
+    alice = PartyConfig("A", {n: resolved.alice_phase for n in names},
+                        resolved.alice_clock_offset)
+    bob = PartyConfig("B", {n: resolved.bob_phase for n in names}, resolved.bob_clock_offset)
+    schedules = schema.build(
+        {"send_time": "send_time", "collapse_time": "collapse_time"}, ProtocolSchedules,
+        alice_sched, bob_sched, float(resolved.collapse_time), float(resolved.send_time),
+        observed={"collapse_time": resolved.collapse_time, "send_time": resolved.send_time})
+    if len(species) == 2:
+        schema.build("time_origin" if to_cfg else "species", check_distinct_species,
+                     *species, observed=[sp.omega for sp in species])
     bob_field = "schedule" if config.bob_schedule is None else "bob_schedule"
-    gaps: dict[str, float] = {}
-    for name, sched, offset in (
-            ("schedule", config.schedule, config.alice_clock_offset),
-            (bob_field, config.bob_schedule or config.schedule, config.bob_clock_offset)):
-        local = np.asarray(_schedule_from(sched).times) - float(offset) + float(offset)
-        gap = float(np.max(np.diff(local)))
-        if gap >= limit:
-            gaps.setdefault(name, gap)
-    return [Diagnostic(name, f"sample spacing < pi/(omega1 + omega2) = {limit:.4g} s "
-                       "(an envelope fit must resolve the fast oscillation)", {"max_gap": gap})
-            for name, gap in gaps.items()]
+    for name, sched, party in (("schedule", alice_sched, alice), (bob_field, bob_sched, bob)):
+        # the local times that the party's fits get, as the run computes them
+        local = [party.to_local(party.to_global(t)) for t in sched.times]
+        fields = {"n_points": f"{name}.n_points", None: name}
+        schema.build(fields, check_phase_grid, local, observed=getattr(config, name))
+        if len(species) == 2:
+            schema.build(fields, check_envelope_grid, local, species[0].omega,
+                         species[1].omega, observed=getattr(config, name))
+    t_max = math.pi / to_cfg.delta_omega if to_cfg else 0.0
+    if not schema.diags and bob_sched.times[-1] < t_max:
+        schema.error("schedule.stop", "should bracket the first envelope maximum pi/delta_omega",
+                     {"stop": bob_sched.times[-1], "t_max": t_max}, "warning")
+    return Scenario(resolved, species, alice, bob, schedules, channel, to_cfg)
 
 
-def _qcs_cell_diagnostics(config: ScenarioConfig, base: dict) -> list[Diagnostic]:
-    """Faults of a baseline sweep's QCS cell, reported under
-    baseline.qcs_scenario, then of the cell as each grid point builds it
-    (Bob's schedule shifted past the worst-case delivery), reported under
-    baseline.distance_grid. Called once the rest of the baseline is valid."""
+def _parse_baseline(schema: _Schema, config: ScenarioConfig) -> Scenario | None:
+    """A baseline sweep: the medium grid and each grid point's QCS cell."""
+    base = schema.mapping("baseline", config.baseline or {}, _BASELINE)
+    if base is None:
+        return None
+    grids = {}
+    for key in ("sigma_grid", "distance_grid"):
+        grid = base.get(key)
+        if not grid or not isinstance(grid, (list, tuple)):
+            schema.error(f"baseline.{key}", "a non-empty list", grid)
+        else:
+            grids[key] = [schema.number(f"baseline.{key}", v, strings=True) for v in grid]
+    mean_index = schema.number("baseline.mean_index", base.get("mean_index", 1.0),
+                               strings=True)
+    n_trials = schema.count("baseline.n_trials", base.get("n_trials"), 1)
+    n_qcs_seeds = schema.count("baseline.n_qcs_seeds", base.get("n_qcs_seeds", 20), 1)
+    if not schema.ok:
+        return None
+    media = [schema.build({"distance": "baseline.distance_grid",
+                           "mean_index": "baseline.mean_index",
+                           "index_fluctuation_sigma": "baseline.sigma_grid"},
+                          MediumModel, distance, mean_index, sigma,
+                          observed={"distance": distance, "mean_index": mean_index,
+                                    "sigma": sigma})
+             for sigma in grids["sigma_grid"] for distance in grids["distance_grid"]]
+    cell = _parse_qcs_cell(schema, base.get("qcs_scenario") or _default_qcs_cell(config))
+    if not schema.ok:
+        return None
+    grid = [(medium, schema.build(
+        "baseline.distance_grid", _qcs_cell, cell, medium,
+        observed={"distance": medium.distance, "sigma": medium.index_fluctuation_sigma},
+        rule="Bob's QCS schedule shifted by distance * (mean_index + 10 * sigma) / c "
+             "must stay finite and strictly increasing")) for medium in media]
+    return Scenario(resolve_config(config), grid=grid, n_trials=n_trials,
+                    n_qcs_seeds=n_qcs_seeds)
+
+
+def _parse_qcs_cell(schema: _Schema, raw) -> Scenario | None:
+    """A baseline sweep's QCS cell: a single_frequency scenario, reported
+    under baseline.qcs_scenario."""
     name = "baseline.qcs_scenario"
-    raw = base.get("qcs_scenario") or _default_qcs_cell(config)
     if not isinstance(raw, dict):
-        return [Diagnostic(name, "a single_frequency scenario mapping", raw)]
-    try:
-        cell = ScenarioConfig.from_dict(raw)
-    except ConfigError as exc:
-        return [Diagnostic(name, str(exc), raw)]
-    if cell.mode != "single_frequency":
-        return [Diagnostic(f"{name}.mode", "single_frequency", cell.mode)]
-    # _qcs_cell replaces both from the medium, so a given value would be ignored
-    overridden = [Diagnostic(f"{name}.{key}", "left out: each grid cell derives it from "
-                             "the medium", raw[key]) for key in ("channel", "bob_schedule")
-                  if raw.get(key) is not None]
-    if overridden:
-        return overridden
-    diags = [dataclasses.replace(d, field=f"{name}.{d.field}") for d in validate_config(cell)]
-    if any(d.severity == "error" for d in diags):
-        return diags
-    mean_index = float(base.get("mean_index", 1.0))
-    for sigma in base["sigma_grid"]:
-        for distance in base["distance_grid"]:
-            medium = MediumModel(distance=float(distance), mean_index=mean_index,
-                                 index_fluctuation_sigma=float(sigma))
-            try:
-                with np.errstate(all="ignore"):
-                    _protocol_setup(_qcs_cell(cell, medium))
-            except (ValueError, QcsError) as exc:
-                diags.append(Diagnostic(
-                    "baseline.distance_grid",
-                    "Bob's QCS schedule shifted by distance * (mean_index + 10 * sigma) / c "
-                    f"must stay finite and strictly increasing ({exc})",
-                    {"distance": float(distance), "sigma": float(sigma)}))
-                return diags
-    return diags
+        return schema.error(name, "a single_frequency scenario mapping", raw)
+    cell = schema.build(name, ScenarioConfig.from_dict, raw, observed=raw)
+    if cell is not None and cell.mode != "single_frequency":
+        schema.error(f"{name}.mode", "single_frequency", cell.mode)
+    for key in ("channel", "bob_schedule"):  # _qcs_cell replaces both, per medium
+        if raw.get(key) is not None:
+            schema.error(f"{name}.{key}", "left out: each grid cell derives it from the medium",
+                         raw[key])
+    if not schema.ok:
+        return None
+    scenario, diags = parse_config(cell, f"{name}.")
+    schema.diags.extend(diags)
+    return scenario
 
 
 def _time_origin_species_dicts(to: dict) -> list[dict]:
@@ -434,24 +425,6 @@ def resolve_config(config: ScenarioConfig) -> ScenarioConfig:
     return resolved
 
 
-def _protocol_setup(config: ScenarioConfig):
-    """Species, parties, schedules and channel of a resolved quantum-mode config."""
-    species = [ClockSpecies(s["name"], float(s["omega"])) for s in config.species]
-    names = [s.name for s in species]
-    alice = PartyConfig("A", {n: config.alice_phase for n in names},
-                        config.alice_clock_offset)
-    bob = PartyConfig("B", {n: config.bob_phase for n in names},
-                      config.bob_clock_offset)
-    schedules = ProtocolSchedules(
-        alice=_schedule_from(config.schedule),
-        bob=_schedule_from(config.bob_schedule),
-        collapse_time=float(config.collapse_time),
-        send_time=float(config.send_time),
-    )
-    channel = ChannelModel(**(config.channel or {}))
-    return species, alice, bob, schedules, channel
-
-
 def _header(config: ScenarioConfig) -> str:
     s = config.seeds
     return (f"qclocksync {__version__} seeds: quantum={s['quantum']} "
@@ -464,9 +437,8 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> tuple
     Returns (exit_code, result_record). Exit codes: 0 success, 1 invalid
     config, 2 runtime error, 3 inconclusive/no-sync protocol outcome.
     """
-    diags = validate_config(config)
-    errors = [d for d in diags if d.severity == "error"]
-    if errors:
+    scenario, diags = parse_config(config)
+    if scenario is None:
         return EXIT_INVALID_CONFIG, {"diagnostics": [d.to_dict() for d in diags]}
 
     out_dir = output_dir or config.output_dir
@@ -476,17 +448,17 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> tuple
         ]}
     os.makedirs(out_dir, exist_ok=True)
 
-    resolved = resolve_config(config)
+    resolved = scenario.config
     with open(os.path.join(out_dir, "config_echo.yaml"), "w") as fh:
         fh.write(f"# {_header(resolved)}\n")
         yaml.safe_dump(resolved.to_dict(), fh, sort_keys=True)
 
     try:
         if resolved.mode == "baseline_sweep":
-            record = _run_baseline_sweep(resolved, out_dir)
+            record = _run_baseline_sweep(scenario, out_dir)
             status = "ok"
         else:
-            record, status = _run_quantum_mode(resolved, out_dir)
+            record, status = _run_quantum_mode(scenario, out_dir)
     except Exception as exc:  # hard failure: distinct exit code from inconclusive
         record = {"error": f"{type(exc).__name__}: {exc}"}
         _write_result(out_dir, resolved, record)
@@ -516,8 +488,10 @@ def _write_series(out_dir: str, config: ScenarioConfig, result: SyncResult) -> N
                                   header_comment=header)
 
 
-def _run_quantum_mode(config: ScenarioConfig, out_dir: str) -> tuple[dict, str]:
-    species, alice, bob, schedules, channel = _protocol_setup(config)
+def _run_quantum_mode(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
+    config, species = scenario.config, scenario.species
+    alice, bob, schedules, channel = (scenario.alice, scenario.bob, scenario.schedules,
+                                      scenario.channel)
     qrng = np.random.default_rng(int(config.seeds["quantum"]))
     crng = np.random.default_rng(int(config.seeds["channel"]))
     transcript = Transcript()
@@ -533,11 +507,8 @@ def _run_quantum_mode(config: ScenarioConfig, out_dir: str) -> tuple[dict, str]:
                                    qrng, crng, transcript)
         score_envelope(result, alice, bob, species[0].omega, species[1].omega)
     else:  # time_origin
-        to = config.time_origin
-        to_cfg = TimeOriginConfig(float(to["omega1"]), float(to["delta_omega"]),
-                                  float(to["duration_T"]))
         ens = tuple(create_ensemble(config.n_pairs, sp, config.eta) for sp in species)
-        result = establish_time_origin(to_cfg, ens, alice, bob, channel, schedules,
+        result = establish_time_origin(scenario.time_origin, ens, alice, bob, channel, schedules,
                                        qrng, crng, transcript)
         score_time_origin(result, alice, bob)
 
@@ -549,27 +520,19 @@ def _run_quantum_mode(config: ScenarioConfig, out_dir: str) -> tuple[dict, str]:
     return result.to_dict(), result.status
 
 
-def _run_baseline_sweep(config: ScenarioConfig, out_dir: str) -> dict:
+def _run_baseline_sweep(scenario: Scenario, out_dir: str) -> dict:
     """Grid sweep comparing Einstein-synchronization RMS error against the
     entanglement protocol's, with the classical channel driven by the same
     medium (delay = distance * n / c, jitter = distance * sigma / c)."""
-    base = config.baseline
-    n_trials = int(base["n_trials"])
-    mean_index = float(base.get("mean_index", 1.0))
-    n_qcs_seeds = int(base.get("n_qcs_seeds", 20))
-    qcs_cell = ScenarioConfig.from_dict(base.get("qcs_scenario") or _default_qcs_cell(config))
-
+    config, n_trials = scenario.config, scenario.n_trials
     rows = []
     crng = np.random.default_rng(int(config.seeds["channel"]))
-    for sigma in [float(v) for v in base["sigma_grid"]]:
-        for distance in [float(v) for v in base["distance_grid"]]:
-            medium = MediumModel(distance=float(distance), mean_index=mean_index,
-                                 index_fluctuation_sigma=float(sigma))
-            rms_es = es_rms_error(medium, n_trials, crng)
-            rms_qcs = _qcs_rms(qcs_cell, medium, n_qcs_seeds,
-                               int(config.seeds["quantum"]),
-                               int(config.seeds["channel"]))
-            rows.append((float(sigma), float(distance), rms_es, rms_qcs, n_trials))
+    for medium, cell in scenario.grid:
+        rms_es = es_rms_error(medium, n_trials, crng)
+        rms_qcs = _qcs_rms(cell, scenario.n_qcs_seeds, int(config.seeds["quantum"]),
+                           int(config.seeds["channel"]))
+        rows.append((medium.index_fluctuation_sigma, medium.distance, rms_es, rms_qcs,
+                     n_trials))
 
     path = os.path.join(out_dir, "baseline.csv")
     with open(path, "w") as fh:
@@ -593,36 +556,35 @@ def _default_qcs_cell(config: ScenarioConfig) -> dict:
     }
 
 
-def _qcs_cell(cell: ScenarioConfig, medium: MediumModel) -> ScenarioConfig:
-    """The resolved QCS cell for one medium: the label channel inherits the
-    medium's delay and jitter, and Bob's measurements start after worst-case
-    delivery so the schedule is reachable for every cell in the sweep."""
+def _qcs_cell(cell: Scenario, medium: MediumModel) -> Scenario:
+    """The QCS cell for one medium: the label channel inherits the medium's
+    delay and jitter, and Bob's measurements start after worst-case delivery
+    so the schedule is reachable for every cell in the sweep."""
     base_delay = medium.distance * medium.mean_index / SPEED_OF_LIGHT
     jitter = medium.distance * medium.index_fluctuation_sigma / SPEED_OF_LIGHT
     margin = base_delay + 10.0 * jitter
-    sched = cell.schedule
-    return resolve_config(dataclasses.replace(
-        cell,
-        channel={"base_delay": base_delay, "jitter_sigma": jitter, "loss_probability": 0.0},
-        bob_schedule={**sched, "start": sched["start"] + margin,
-                      "stop": sched["stop"] + margin}))
+    sched = cell.config.schedule
+    with np.errstate(all="ignore"):  # an infinite margin gives NaN times, rejected below
+        bob = _schedule_from({**sched, "start": sched["start"] + margin,
+                              "stop": sched["stop"] + margin})
+    s = cell.schedules
+    return dataclasses.replace(
+        cell, channel=ChannelModel(base_delay, jitter, 0.0),
+        schedules=ProtocolSchedules(s.alice, bob, s.collapse_time, s.send_time))
 
 
-def _qcs_rms(cell: ScenarioConfig, medium: MediumModel, n_seeds: int,
-             quantum_seed: int, channel_seed: int) -> float:
-    """RMS entanglement-protocol sync error across quantum seeds, with the
-    label channel inheriting the medium's delay and jitter."""
-    cell = _qcs_cell(cell, medium)
-    all_species, alice, bob, schedules, channel = _protocol_setup(cell)
-    species = all_species[0]
+def _qcs_rms(cell: Scenario, n_seeds: int, quantum_seed: int, channel_seed: int) -> float:
+    """RMS entanglement-protocol sync error of one QCS cell across quantum seeds."""
+    species, config = cell.species[0], cell.config
     errs = []
     children = np.random.SeedSequence(quantum_seed).spawn(n_seeds)
     for i in range(n_seeds):
         qrng = np.random.default_rng(children[i])
         crng = np.random.default_rng(np.random.SeedSequence(channel_seed).spawn(1)[0])
-        ens = create_ensemble(cell.n_pairs, species, cell.eta)
-        result = run_single_frequency(ens, alice, bob, channel, schedules, qrng, crng)
-        score_single_frequency(result, alice, bob, species, cell.eta)
+        ens = create_ensemble(config.n_pairs, species, config.eta)
+        result = run_single_frequency(ens, cell.alice, cell.bob, cell.channel, cell.schedules,
+                                      qrng, crng)
+        score_single_frequency(result, cell.alice, cell.bob, species, config.eta)
         if result.sync_error is not None:
             errs.append(result.sync_error)
     if not errs:

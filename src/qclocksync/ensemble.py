@@ -49,9 +49,6 @@ class SamplingSchedule:
     def total_pairs(self) -> int:
         return len(self.times) * self.batch_size
 
-    def shifted(self, dt: float) -> "SamplingSchedule":
-        return SamplingSchedule(tuple(t + dt for t in self.times), self.batch_size)
-
 
 class PopulationSeries:
     """Timestamped 0/1 counts from destructive batch measurements.
@@ -91,10 +88,6 @@ class PopulationSeries:
     def p_hat(self) -> np.ndarray:
         """Empirical pos-fraction per time point."""
         return self.count_pos / self.batch_size
-
-    def with_times(self, times) -> "PopulationSeries":
-        """Copy of this series with relabelled timestamps (e.g. local clock)."""
-        return PopulationSeries(times, self.count_pos, self.count_neg, self.batch_size)
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
         with open(path, "w", newline="") as fh:

@@ -35,3 +35,10 @@ class InconclusiveError(QcsError):
 
 class ConfigError(QcsError):
     """A scenario configuration violates a load-time constraint."""
+
+
+def blame(exc: Exception, param: str) -> Exception:
+    """exc, naming in exc.param the argument at fault, so that a caller that
+    validates a whole scenario can report the field it came from."""
+    exc.param = param
+    return exc

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .ensemble import PopulationSeries
-from .errors import EstimationError, InconclusiveError, RankDeficientError
+from .errors import EstimationError, InconclusiveError, RankDeficientError, blame
 from .quantum import TWO_PI, ClockSpecies, normalize_phase
 
 
@@ -48,6 +48,9 @@ class BeatSeries:
         n = self.times.shape[0]
         if self.diff.shape != (n,) or self.sigma.shape != (n,):
             raise ValueError("beat series arrays must have matching lengths")
+        # NaN passes the range checks below, and would surface only in the fit
+        if not all(np.isfinite(a).all() for a in (self.times, self.diff, self.sigma)):
+            raise ValueError("beat series times, differences and sigmas must be finite")
         if np.any(np.abs(self.diff) > 1.0 + 1e-12):
             raise ValueError("beat differences must lie in [-1, 1]")
         if np.any(self.sigma < 0):
@@ -113,6 +116,14 @@ def _profile_chi2(ce: np.ndarray, se: np.ndarray, wft: np.ndarray, y: np.ndarray
     return np.where(full_rank, yw @ yw - explained, math.inf)
 
 
+def check_phase_grid(times) -> None:
+    """Raise RankDeficientError (param 'n_points') unless estimate_phase has
+    the 3 distinct sample times it needs."""
+    if np.unique(times).shape[0] < 3:
+        raise blame(RankDeficientError("phase fit needs at least 3 distinct sample times"),
+                    "n_points")
+
+
 def estimate_phase(series: PopulationSeries, species: ClockSpecies) -> PhaseEstimate:
     """Fit p_hat(t) = (1 + cos(w t + phase))/2 by weighted linear least squares.
 
@@ -121,9 +132,8 @@ def estimate_phase(series: PopulationSeries, species: ClockSpecies) -> PhaseEsti
     """
     if np.any(series.batch_size <= 0):
         raise EstimationError("series contains empty batches")
+    check_phase_grid(series.times)
     t = series.times
-    if np.unique(t).shape[0] < 3:
-        raise RankDeficientError("phase fit needs at least 3 distinct sample times")
     y = series.p_hat()
     w = 1.0 / _binomial_variance(series.count_pos, series.batch_size)
     wt = species.omega * t
@@ -162,6 +172,20 @@ def _beat_weights(beats: BeatSeries) -> np.ndarray:
     return 1.0 / np.maximum(beats.sigma, floor) ** 2
 
 
+def check_envelope_grid(times, omega1: float, omega2: float) -> None:
+    """Raise EstimationError unless envelope_phase can fit beats sampled at
+    these ascending times: 5 points at least (the error's param is then
+    'n_points'), and every gap shorter than pi/(omega1 + omega2), half a
+    period of the fast factor."""
+    if len(times) < 5:
+        raise blame(EstimationError("an envelope fit needs 5 points at least"), "n_points")
+    max_gap = float(np.max(np.diff(times)))
+    limit = math.pi / (omega1 + omega2)
+    if max_gap >= limit:
+        raise EstimationError(f"grid spacing {max_gap:.4g} s does not resolve the fast "
+                              f"oscillation (each gap < pi/(omega1 + omega2) = {limit:.4g} s)")
+
+
 def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEstimate:
     """Phase of the slow beat envelope, canonicalized into [0, pi).
 
@@ -179,16 +203,10 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
     """
     if omega1 == omega2:
         raise EstimationError("envelope extraction needs two distinct frequencies")
-    if len(beats) < 5:
-        raise EstimationError("too few points for an envelope fit")
+    check_envelope_grid(beats.times, omega1, omega2)
     w_e = abs(omega1 - omega2) / 2.0
     w_f = (omega1 + omega2) / 2.0
     t = beats.times
-    max_gap = float(np.max(np.diff(t)))
-    if max_gap >= math.pi / (omega1 + omega2):
-        raise EstimationError(
-            f"grid spacing {max_gap:.4g} s does not resolve the fast oscillation"
-        )
     w = _beat_weights(beats)
     ce, se = np.cos(w_e * t), np.sin(w_e * t)
 

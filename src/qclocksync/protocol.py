@@ -35,7 +35,7 @@ from .ensemble import (
     sample_batch,
     select_subensemble,
 )
-from .errors import BudgetError, ConfigError, InconclusiveError, ProtocolOrderError
+from .errors import BudgetError, ConfigError, InconclusiveError, ProtocolOrderError, blame
 from .estimation import BeatSeries, PhaseEstimate
 from .quantum import ClockSpecies, circular_difference, normalize_phase
 
@@ -103,10 +103,11 @@ class TimeOriginConfig:
     protocol_duration_T: float
 
     def __post_init__(self):
-        if self.omega1 <= 0.0 or self.delta_omega <= 0.0:
-            raise ConfigError("omega1 and delta_omega must be positive")
-        if self.protocol_duration_T <= 0.0:
-            raise ConfigError("protocol_duration_T must be positive")
+        for name in ("omega1", "delta_omega", "protocol_duration_T"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise blame(ConfigError(f"{name} must be a finite number > 0, got {value}"),
+                            name)
         if not self.delta_omega * self.protocol_duration_T < math.pi / 2.0:
             raise ConfigError(
                 f"delta_omega * T = {self.delta_omega * self.protocol_duration_T:.6g} "
@@ -131,9 +132,11 @@ class ProtocolSchedules:
         if self.send_time is None:
             self.send_time = self.collapse_time
         if self.send_time < self.collapse_time:
-            raise ProtocolOrderError("labels cannot be sent before the collapse")
+            raise blame(ProtocolOrderError("labels cannot be sent before the collapse"),
+                        "send_time")
         if self.alice.times[0] < self.collapse_time:
-            raise ProtocolOrderError("Alice cannot sample before her collapse")
+            raise blame(ProtocolOrderError("Alice cannot sample before her collapse"),
+                        "collapse_time")
 
 
 # json.dumps(r, sort_keys=True) would build an equal encoder for every record
@@ -396,6 +399,15 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     return result
 
 
+def check_distinct_species(species1: ClockSpecies, species2: ClockSpecies) -> None:
+    """The two-frequency protocol's demand on its species: ConfigError unless
+    their frequencies and their names differ."""
+    if species1.omega == species2.omega:
+        raise ConfigError("two-frequency protocol needs two distinct frequencies")
+    if species1.name == species2.name:
+        raise ConfigError("two-frequency protocol needs two distinct species names")
+
+
 def run_two_frequency(ensembles: tuple[Ensemble, Ensemble], alice: PartyConfig,
                       bob: PartyConfig, channel: ChannelModel,
                       schedules: ProtocolSchedules,
@@ -410,11 +422,7 @@ def run_two_frequency(ensembles: tuple[Ensemble, Ensemble], alice: PartyConfig,
     synchronization observable.
     """
     ens1, ens2 = ensembles
-    if ens1.species.omega == ens2.species.omega:
-        raise ConfigError("two-frequency protocol needs two distinct frequencies")
-    if ens1.species.name == ens2.species.name:
-        raise ConfigError("two-frequency protocol needs two distinct species names")
-
+    check_distinct_species(ens1.species, ens2.species)
     results = [
         run_single_frequency(ens, alice, bob, channel, schedules,
                              quantum_rng, channel_rng, transcript)

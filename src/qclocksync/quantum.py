@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ImpossibleBranchError, NonUnitaryError
+from .errors import ImpossibleBranchError, NonUnitaryError, blame
 
 TWO_PI = 2.0 * math.pi
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -70,8 +70,12 @@ class ClockSpecies:
     omega: float
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name):
+            raise blame(ValueError(f"name must be a non-empty string, got {self.name!r}"),
+                        "name")
         if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise ValueError(f"omega must be positive and finite, got {self.omega}")
+            raise blame(ValueError(f"omega must be positive and finite, got {self.omega}"),
+                        "omega")
 
 
 def _as_phi(phi) -> float:

@@ -1,9 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
+import tempfile
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qclocksync.cli import main
 from qclocksync.config import load_config, resolve_config, validate_config
@@ -140,12 +146,27 @@ class TestValidate:
             **BASE["schedule"], "stop": 40.0}}, "bob_schedule"),
         ({"schedule": {"start": 1e20, "stop": 1.00000000000001e20, "n_points": 1000,
                        "batch_size": 4}}, "schedule"),
+        ({"bob_phase": 0.0}, "delta"),  # 0.7 given too: the two disagree
+        # Alice's local times round to one value: her phase fit had no 3 distinct times
+        ({"alice_clock_offset": 2.0**70}, "schedule.n_points"),
+        # unknown keys inside nested mappings
+        ({"seeds": {"quantm": 9, "channel": 6}}, "seeds.quantm"),
+        ({"schedule": {**BASE["schedule"], "step": 0.1}}, "schedule.step"),
+        ({"bob_schedule": {**BASE["schedule"], "offset": 1.0}}, "bob_schedule.offset"),
+        ({"species": [{"name": "cs", "omega": 2.0, "eta": 0.1}]}, "species[0].eta"),
+        ({"mode": "time_origin", "time_origin": {**TIME_ORIGIN, "T": 1.0}}, "time_origin.T"),
+        ({"mode": "baseline_sweep", "baseline": {
+            "sigma_grid": [1e-6], "distance_grid": [1e3], "n_trials": 10,
+            "n_qcs_seed": 1}}, "baseline.n_qcs_seed"),
     ], ids=["inf-delta", "nan-delta", "string-omega", "nan-omega", "string-species",
             "number-species", "nameless-species", "nan-bob-offset", "string-alice-phase",
             "string-eta", "negative-seed", "string-seed", "collapse-after-sample",
             "send-before-collapse", "string-omega1", "same-species-names",
             "unresolved-fast-oscillation", "too-few-envelope-points",
-            "unresolved-bob-schedule", "indistinct-schedule-times"])
+            "unresolved-bob-schedule", "indistinct-schedule-times",
+            "delta-disagrees-with-bob-phase", "offset-collapses-local-times", "unknown-seed",
+            "unknown-schedule-key", "unknown-bob-schedule-key", "unknown-species-key",
+            "unknown-time-origin-key", "unknown-baseline-key"])
     def test_malformed_scenario_exits_1(self, tmp_path, capsys, overrides, field):
         path = _write(tmp_path, overrides)
         assert main(["validate", path]) == 1
@@ -213,8 +234,17 @@ class TestRun:
         b = _read_artifacts(out2)
         assert a["series_alice_cs.csv"] != b["series_alice_cs.csv"]
 
-    def test_config_echo_reloads_and_reproduces(self, tmp_path):
-        path = _write(tmp_path)
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"mode": "two_frequency", "species": TWO_SPECIES},
+        {"mode": "time_origin", "n_pairs": 40_000, "time_origin": TIME_ORIGIN,
+         "schedule": {"start": 0.05, "stop": 20.0, "n_points": 60, "batch_size": 300}},
+        {"mode": "baseline_sweep", "baseline": {
+            "sigma_grid": [1e-6], "distance_grid": [1e3, 1e5], "n_trials": 50,
+            "n_qcs_seeds": 2}},
+    ], ids=["single_frequency", "two_frequency", "time_origin", "baseline_sweep"])
+    def test_config_echo_reloads_and_reproduces(self, tmp_path, overrides):
+        path = _write(tmp_path, overrides)
         out1 = tmp_path / "o1"
         assert main(["run", path, "-o", str(out1)]) == 0
         echoed = load_config(out1 / "config_echo.yaml")
@@ -222,9 +252,7 @@ class TestRun:
         out2 = tmp_path / "o2"
         assert main(["run", _write(tmp_path, echoed.to_dict(), "echo.yaml"),
                      "-o", str(out2)]) == 0
-        a, b = _read_artifacts(out1), _read_artifacts(out2)
-        assert a["result.json"] == b["result.json"]
-        assert a["series_bob_cs.csv"] == b["series_bob_cs.csv"]
+        assert _read_artifacts(out1) == _read_artifacts(out2)
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         path = _write(tmp_path, {"n_pairs": 0})
@@ -430,9 +458,101 @@ class TestSweep:
         assert summary[0] == "cell,param,value,exit_code,status,sync_error"
         assert len(summary) == 4
 
+    def test_sweep_indexes_lists(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep", _write(tmp_path), "-o", str(out),
+                     "--param", "species.0.omega", "--values", "[1.0, 3.0]"]) == 0
+        for i, omega in enumerate((1.0, 3.0)):
+            echo = load_config(out / f"cell_{i:03d}" / "config_echo.yaml")
+            assert echo.species == [{"name": "cs", "omega": omega}]
+
+    @pytest.mark.parametrize("param", ["species.1.omega", "species.x.omega", "n_pairs.x",
+                                       "frobnicate", "bob_schedule.start"])
+    def test_sweep_rejects_missing_path(self, tmp_path, capsys, param):
+        assert main(["sweep", _write(tmp_path), "-o", str(tmp_path / "s"),
+                     "--param", param, "--values", "[1.0]"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == ["--param"]
+
     def test_sweep_rejects_bad_values(self, tmp_path):
         path = _write(tmp_path)
         assert main(["sweep", path, "-o", str(tmp_path / "s"),
                      "--param", "delta", "--values", "not json"]) == 1
         assert main(["sweep", path, "-o", str(tmp_path / "s2"),
                      "--param", "delta", "--values", "[]"]) == 1
+
+
+# The README example, scaled down from 1M pairs to 20,000
+README_SCENARIO = {
+    "mode": "single_frequency",
+    "n_pairs": 20_000,
+    "species": [{"name": "cs", "omega": 2.0}],
+    "delta": 0.7,
+    "alice_clock_offset": 0.0,
+    "bob_clock_offset": 0.0,
+    "schedule": {"start": 0.1, "stop": 4.0, "n_points": 20, "batch_size": 200},
+    "channel": {"base_delay": 0.0, "jitter_sigma": 0.0, "loss_probability": 0.0},
+    "seeds": {"quantum": 1, "channel": 2, "delta": 3},
+}
+
+
+def _paths(node, prefix=()):
+    """Every key and list index path in a scenario, the root included."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+# fields the example leaves out, so that mutations can also add them
+PATHS = list(_paths(README_SCENARIO)) + [
+    (key,) for key in ("eta", "alice_phase", "bob_phase", "collapse_time", "send_time",
+                       "bob_schedule", "time_origin")]
+BAD_VALUES = ["x", math.nan, math.inf, -1.0, 0, "", [], {}, None, True]
+VALID_VALUES = [0.5, 1, 2.0, 3, 10, "random", "time_origin",
+                {"start": 0.2, "stop": 3.0, "n_points": 8, "batch_size": 100}]
+
+mutations = st.lists(st.tuples(
+    st.sampled_from(PATHS),
+    st.one_of(st.sampled_from(["delete", "extra key"]),
+              st.tuples(st.just("set"), st.sampled_from(BAD_VALUES + VALID_VALUES)))),
+    min_size=1, max_size=2)
+
+
+def _mutate(scenario, path, action):
+    """Delete the field at path, add an unknown key to the mapping there, or
+    set it to a value; KeyError, IndexError or TypeError if path is gone."""
+    node = scenario
+    for key in path[:-1]:
+        node = node[key]
+    if action == "extra key":
+        target = node[path[-1]] if path else node
+        if isinstance(target, dict):
+            target["extra"] = 1
+    elif path and action == "delete":
+        del node[path[-1]]
+    elif path:
+        node[path[-1]] = copy.deepcopy(action[1])
+
+
+class TestScenarioProperties:
+    # validate never raises (main turns any exception into exit 2), run never
+    # exits 2, and the two agree: exit 1 from one is exit 1 from the other
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mutations)
+    def test_validate_passing_means_the_run_can_be_built(self, muts):
+        scenario = copy.deepcopy(README_SCENARIO)
+        for path, action in muts:
+            try:
+                _mutate(scenario, path, action)
+            except (KeyError, IndexError, TypeError):
+                pass  # an earlier mutation removed or replaced the parent
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            path = os.path.join(tmp, "scenario.yaml")
+            with open(path, "w") as fh:
+                yaml.safe_dump(scenario, fh)
+            validated = main(["validate", path])
+            ran = main(["run", path, "-o", os.path.join(tmp, "out")])
+        assert validated in (0, 1), scenario
+        assert ran in ((0, 3) if validated == 0 else (1,)), scenario

@@ -238,9 +238,6 @@ class TestSamplingSchedule:
     def test_total_pairs_and_shift(self):
         s = SamplingSchedule((1.0, 2.0, 3.0), 50)
         assert s.total_pairs == 150
-        shifted = s.shifted(0.5)
-        assert shifted.times == (1.5, 2.5, 3.5)
-        assert shifted.batch_size == 50
 
 
 class TestPopulationSeries:
@@ -263,12 +260,6 @@ class TestPopulationSeries:
         path = tmp_path / "series.csv"
         series.to_csv(path)
         assert PopulationSeries.from_csv(path) == series
-
-    def test_with_times_relabels_only(self):
-        series = PopulationSeries([1.0, 2.0], [4, 6], [6, 4], [10, 10])
-        shifted = series.with_times([11.0, 12.0])
-        np.testing.assert_array_equal(shifted.times, [11.0, 12.0])
-        np.testing.assert_array_equal(shifted.count_pos, series.count_pos)
 
     def test_p_hat(self):
         series = PopulationSeries([0.0], [30], [70], [100])

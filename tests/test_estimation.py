@@ -330,3 +330,13 @@ class TestBeatSeriesValidation:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             BeatSeries([0.0, 1.0], [0.5], [0.1])
+
+    # NaN passes both range checks; unchecked, it failed in envelope_phase
+    # as a bare ValueError from normalize_phase
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, column, bad):
+        columns = [np.linspace(0.0, 10.0, 200), np.full(200, 0.1), np.full(200, 0.01)]
+        columns[column][7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            BeatSeries(*columns)

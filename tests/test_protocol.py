@@ -445,6 +445,15 @@ class TestTimeOrigin:
         with pytest.raises(ConfigError):
             TimeOriginConfig(omega1=1.0, delta_omega=0.0, protocol_duration_T=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("param", ["omega1", "delta_omega", "protocol_duration_T"])
+    def test_non_finite_parameters_rejected(self, param, value):
+        # inf * T fails the window check too; each must name its parameter
+        with pytest.raises(ConfigError) as info:
+            TimeOriginConfig(**{"omega1": 2.0, "delta_omega": 0.2,
+                                "protocol_duration_T": 1.0, param: value})
+        assert info.value.param == param
+
     def test_origin_near_pi_over_delta_omega(self):
         cfg = TimeOriginConfig(omega1=2.0, delta_omega=0.2, protocol_duration_T=7.0)
         ensembles, alice, bob, schedules = _two_freq_setup()

@@ -241,6 +241,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClockSpecies("bad", -1.0)
 
+    @pytest.mark.parametrize("name", ["", None, 3])
+    def test_species_must_have_a_name(self, name):
+        with pytest.raises(ValueError) as info:
+            ClockSpecies(name, 1.0)
+        assert info.value.param == "name"
+
     def test_basis_phase_normalized(self):
         assert BasisPhase(-0.5).phi == pytest.approx(2 * math.pi - 0.5)
         assert BasisPhase(2 * math.pi).phi == 0.0

@@ -1,53 +1,3 @@
 """Deterministic simulator of entanglement-based quantum clock synchronization."""
 
 __version__ = "0.1.0"
-
-from .channels import (  # noqa: F401
-    BaselineResult,
-    ChannelModel,
-    MediumModel,
-    deliver,
-    einstein_sync,
-)
-from .ensemble import (  # noqa: F401
-    Ensemble,
-    PopulationSeries,
-    SamplingSchedule,
-    alice_collapse_all,
-    create_ensemble,
-    sample_population,
-    select_subensemble,
-)
-from .estimation import (  # noqa: F401
-    BeatSeries,
-    PhaseEstimate,
-    beat_difference,
-    envelope_phase,
-    estimate_phase,
-    first_envelope_maximum,
-)
-from .protocol import (  # noqa: F401
-    ClassicalMessage,
-    PartyConfig,
-    ProtocolSchedules,
-    SyncResult,
-    TimeOriginConfig,
-    Transcript,
-    broadcast_labels,
-    establish_time_origin,
-    run_single_frequency,
-    run_two_frequency,
-)
-from .quantum import (  # noqa: F401
-    BasisPhase,
-    ClockSpecies,
-    SingleQubitState,
-    TwoQubitState,
-    apply_local,
-    dark_state_phase,
-    dual_basis_states,
-    evolve,
-    measure_dual,
-    ramsey_probabilities,
-    singlet_state,
-)

@@ -74,19 +74,10 @@ class MediumModel:
                         "index_fluctuation_sigma")
 
 
-@dataclass(frozen=True)
-class BaselineResult:
-    estimated_offset: float
-    true_offset: float
-
-    @property
-    def error(self) -> float:
-        return self.estimated_offset - self.true_offset
-
-
 def einstein_sync(medium: MediumModel, rng: np.random.Generator,
-                  true_offset: float = 0.0) -> BaselineResult:
-    """One round-trip Einstein-synchronization exchange through the medium.
+                  true_offset: float = 0.0) -> float:
+    """Error of one round-trip Einstein-synchronization exchange through the
+    medium: the estimated offset minus true_offset.
 
     Each leg's refractive index is an independent Gaussian draw (floored at
     vacuum); Bob's offset estimate uses the standard midpoint rule, so the
@@ -99,7 +90,7 @@ def einstein_sync(medium: MediumModel, rng: np.random.Generator,
     # Bob timestamps the pulse arrival on his clock; Alice assumes the one-way
     # time is half the measured round trip.
     estimated = true_offset + (t_fwd - t_back) / 2.0
-    return BaselineResult(estimated_offset=estimated, true_offset=true_offset)
+    return estimated - true_offset
 
 
 def es_rms_error(medium: MediumModel, n_trials: int, rng: np.random.Generator,

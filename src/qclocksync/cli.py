@@ -24,6 +24,7 @@ from .config import (
     ScenarioConfig,
     load_config,
     run_scenario,
+    seed_diagnostics,
     validate_config,
 )
 from .errors import ConfigError
@@ -57,11 +58,14 @@ def cmd_run(args) -> int:
     return code
 
 
-def cmd_validate(args) -> int:
-    config = _load(args.config)
-    diags = validate_config(config)
+def _report(diags: list[Diagnostic]) -> int:
+    """Print diagnostics as validate and run print them; returns the exit code."""
     print(json.dumps({"diagnostics": [d.to_dict() for d in diags]}, sort_keys=True))
     return EXIT_INVALID_CONFIG if any(d.severity == "error" for d in diags) else EXIT_OK
+
+
+def cmd_validate(args) -> int:
+    return _report(validate_config(_load(args.config)))
 
 
 def cmd_sweep(args) -> int:
@@ -79,6 +83,9 @@ def cmd_sweep(args) -> int:
     out_dir = args.output_dir or config.output_dir
     if out_dir is None:
         return _invalid("output_dir", "required", None)
+    diags = seed_diagnostics(config)  # the cells' seeds are derived from them
+    if diags:
+        return _report(diags)
     os.makedirs(out_dir, exist_ok=True)
 
     q_children = np.random.SeedSequence(int(config.seeds["quantum"])).spawn(len(values))

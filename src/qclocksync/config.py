@@ -26,7 +26,7 @@ import yaml
 
 from . import __version__
 from .channels import SPEED_OF_LIGHT, ChannelModel, MediumModel, es_rms_error
-from .ensemble import SamplingSchedule, create_ensemble
+from .ensemble import Ensemble, SamplingSchedule
 from .errors import ConfigError, QcsError
 from .estimation import check_envelope_grid, check_phase_grid
 from .protocol import (
@@ -175,11 +175,13 @@ class _Schema:
             return x
         self.error(field_, constraint, value)
 
-    def count(self, field_: str, value, low: int) -> int | None:
-        """value as an int >= low: an int or an integral float."""
-        if _as_float(value).is_integer() and value >= low:
+    def count(self, field_: str, value, low: int, high: int | None = None) -> int | None:
+        """value as an int >= low (and <= high, if given): an int or an
+        integral float."""
+        if _as_float(value).is_integer() and value >= low and (high is None or value <= high):
             return int(value)
-        self.error(field_, f"an integer >= {low}", value)
+        self.error(field_, f"an integer >= {low}" if high is None
+                   else f"an integer in [{low}, {high}]", value)
 
     def mapping(self, field_: str, value, keys: tuple, required: bool = False) -> dict | None:
         """value if it is a mapping with no key outside keys, and with all of
@@ -225,9 +227,7 @@ def parse_config(config: ScenarioConfig,
     if config.mode not in MODES:
         schema.error("mode", f"one of {MODES}", config.mode)
         return None, schema.diags
-    seeds = schema.mapping("seeds", config.seeds, _SEEDS)
-    for key in _SEEDS if seeds is not None else ():
-        schema.count(f"seeds.{key}", seeds.get(key), 0)
+    _parse_seeds(schema, config.seeds)
     parse = _parse_baseline if config.mode == "baseline_sweep" else _parse_protocol
     scenario = parse(schema, config)
     return (scenario if schema.ok else None), schema.diags
@@ -236,6 +236,21 @@ def parse_config(config: ScenarioConfig,
 def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
     """All load-time diagnostics; the config runs iff none is an 'error'."""
     return parse_config(config)[1]
+
+
+def _parse_seeds(schema: _Schema, seeds) -> None:
+    seeds = schema.mapping("seeds", seeds, _SEEDS)
+    for key in _SEEDS if seeds is not None else ():
+        schema.count(f"seeds.{key}", seeds.get(key), 0)
+
+
+def seed_diagnostics(config: ScenarioConfig) -> list[Diagnostic]:
+    """The diagnostics of config's seeds alone, as validate_config reports
+    them: a sweep derives its cells' seeds from them before any cell is
+    validated."""
+    schema = _Schema()
+    _parse_seeds(schema, config.seeds)
+    return schema.diags
 
 
 def _parse_schedule(schema: _Schema, name: str, raw, n_pairs: int | None):
@@ -282,7 +297,8 @@ def _parse_protocol(schema: _Schema, config: ScenarioConfig) -> Scenario | None:
             schema.number(key, value)
     if config.delta not in (None, "random"):
         schema.number("delta", config.delta, constraint="a finite number, 'random', or null")
-    n_pairs = schema.count("n_pairs", config.n_pairs, 1)
+    # a pair's masks are indexed by numpy, whose lengths are at most intp's maximum
+    n_pairs = schema.count("n_pairs", config.n_pairs, 1, int(np.iinfo(np.intp).max))
     alice_sched = _parse_schedule(schema, "schedule", config.schedule, n_pairs)
     bob_sched = (alice_sched if config.bob_schedule is None  # Bob samples on Alice's grid
                  else _parse_schedule(schema, "bob_schedule", config.bob_schedule, n_pairs))
@@ -497,17 +513,17 @@ def _run_quantum_mode(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
     transcript = Transcript()
 
     if config.mode == "single_frequency":
-        ens = create_ensemble(config.n_pairs, species[0], config.eta)
+        ens = Ensemble(config.n_pairs, species[0], config.eta)
         result = run_single_frequency(ens, alice, bob, channel, schedules,
                                       qrng, crng, transcript)
         score_single_frequency(result, alice, bob, species[0], config.eta)
     elif config.mode == "two_frequency":
-        ens = tuple(create_ensemble(config.n_pairs, sp, config.eta) for sp in species)
+        ens = tuple(Ensemble(config.n_pairs, sp, config.eta) for sp in species)
         result = run_two_frequency(ens, alice, bob, channel, schedules,
                                    qrng, crng, transcript)
         score_envelope(result, alice, bob, species[0].omega, species[1].omega)
     else:  # time_origin
-        ens = tuple(create_ensemble(config.n_pairs, sp, config.eta) for sp in species)
+        ens = tuple(Ensemble(config.n_pairs, sp, config.eta) for sp in species)
         result = establish_time_origin(scenario.time_origin, ens, alice, bob, channel, schedules,
                                        qrng, crng, transcript)
         score_time_origin(result, alice, bob)
@@ -581,7 +597,7 @@ def _qcs_rms(cell: Scenario, n_seeds: int, quantum_seed: int, channel_seed: int)
     for i in range(n_seeds):
         qrng = np.random.default_rng(children[i])
         crng = np.random.default_rng(np.random.SeedSequence(channel_seed).spawn(1)[0])
-        ens = create_ensemble(config.n_pairs, species, config.eta)
+        ens = Ensemble(config.n_pairs, species, config.eta)
         result = run_single_frequency(ens, cell.alice, cell.bob, cell.channel, cell.schedules,
                                       qrng, crng)
         score_single_frequency(result, cell.alice, cell.bob, species, config.eta)

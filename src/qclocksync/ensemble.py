@@ -1,12 +1,15 @@
-"""Labelled ensembles of entangled pre-clock pairs.
+"""Labelled ensembles of entangled pre-clock pairs, and their sampling.
 
 Lifecycle per pair: entangled and idle until Alice's simultaneous collapse
 makes it Type I or Type II, then consumed by a single destructive batch
 measurement. An ensemble keeps this as two per-pair boolean masks: the Type-I
-mask (None until the collapse) and the consumed mask. Outcome sampling uses
-the closed-form single-pair distribution (verified against the state-vector
-machinery in the test suite) so that million-pair ensembles cost O(1) memory
-per pair.
+mask (None until the collapse) and the consumed mask. A party selects its
+subensemble by label and consumes it batch by batch in label order
+(select_subensemble, sample_batch). Outcomes are drawn from the closed-form
+single-pair distribution (pos_probability; the tests check it against a
+state-vector oracle), so that million-pair ensembles cost O(1) memory per
+pair. The measured counts travel as a PopulationSeries, which writes itself
+as CSV.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ProtocolOrderError
-from .quantum import BasisPhase, ClockSpecies, _as_phi
+from .quantum import ClockSpecies, normalize_phase
 
 # collapsed pair types, as pos_probability takes them
 TYPE_I = 1
@@ -44,10 +47,6 @@ class SamplingSchedule:
             raise ValueError("batch_size must be >= 1")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "batch_size", int(self.batch_size))
-
-    @property
-    def total_pairs(self) -> int:
-        return len(self.times) * self.batch_size
 
 
 class PopulationSeries:
@@ -77,14 +76,6 @@ class PopulationSeries:
     def __len__(self) -> int:
         return self.times.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PopulationSeries):
-            return NotImplemented
-        return (np.array_equal(self.times, other.times)
-                and np.array_equal(self.count_pos, other.count_pos)
-                and np.array_equal(self.count_neg, other.count_neg)
-                and np.array_equal(self.batch_size, other.batch_size))
-
     def p_hat(self) -> np.ndarray:
         """Empirical pos-fraction per time point."""
         return self.count_pos / self.batch_size
@@ -97,20 +88,6 @@ class PopulationSeries:
             writer.writerow(["t_seconds", "count_pos", "count_neg", "batch_size"])
             for t, cp, cn, b in zip(self.times, self.count_pos, self.count_neg, self.batch_size):
                 writer.writerow([repr(float(t)), _fmt_count(cp), _fmt_count(cn), _fmt_count(b)])
-
-    @classmethod
-    def from_csv(cls, path) -> "PopulationSeries":
-        times, cps, cns, bs = [], [], [], []
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-        if rows[0] != ["t_seconds", "count_pos", "count_neg", "batch_size"]:
-            raise ValueError(f"unexpected CSV header: {rows[0]}")
-        for t, cp, cn, b in rows[1:]:
-            times.append(float(t))
-            cps.append(float(cp))
-            cns.append(float(cn))
-            bs.append(float(b))
-        return cls(times, cps, cns, bs)
 
 
 def _fmt_count(x: float) -> str:
@@ -139,18 +116,8 @@ class Ensemble:
         self.t0 = math.nan  # shared collapse epoch (global time)
         self.collapse_phi = math.nan  # Alice's basis phase at collapse
 
-    @property
-    def labels(self) -> np.ndarray:
-        """Pair labels 1..n, known identically to both parties."""
-        return np.arange(1, self.n_pairs + 1)
 
-
-def create_ensemble(n_pairs: int, species: ClockSpecies, eta: float = 0.0) -> Ensemble:
-    """A fresh ensemble of n_pairs entangled-idle pairs labelled 1..n_pairs."""
-    return Ensemble(n_pairs, species, eta)
-
-
-def alice_collapse_all(ensemble: Ensemble, t0: float, phi_a, rng: np.random.Generator):
+def alice_collapse_all(ensemble: Ensemble, t0: float, phi_a: float, rng: np.random.Generator):
     """Alice's simultaneous dual-basis measurement of every pair at global time t0.
 
     Each pair collapses to Type I (Alice saw pos) or Type II (Alice saw neg)
@@ -166,10 +133,10 @@ def alice_collapse_all(ensemble: Ensemble, t0: float, phi_a, rng: np.random.Gene
     # draws leave no heap hole below a live array to raise the peak RSS.
     type_i = np.empty(ensemble.n_pairs, dtype=bool)
     # P(pos) = 1/2 for every pair of the generalized singlet, any basis phase;
-    # verified against quantum.measure_dual in the test suite.
+    # verified against the state-vector oracle in the tests.
     ensemble.type_i = np.less(rng.random(ensemble.n_pairs), 0.5, out=type_i)
     ensemble.t0 = float(t0)
-    ensemble.collapse_phi = _as_phi(phi_a)
+    ensemble.collapse_phi = normalize_phase(phi_a)
     # label = index + 1, so the positions of the Type-I pairs are their labels
     return np.flatnonzero(ensemble.type_i) + 1
 
@@ -181,47 +148,38 @@ class SubensembleHandle:
     comes solely from the rng draws.
     """
 
-    def __init__(self, ensemble: Ensemble, labels: np.ndarray, expected_type: str | None):
+    def __init__(self, ensemble: Ensemble, labels: np.ndarray):
         self.ensemble = ensemble
         self.labels = labels
-        self.expected_type = expected_type
         self._cursor = 0
 
-    @property
-    def size(self) -> int:
-        return int(self.labels.shape[0])
-
-    @property
-    def remaining(self) -> int:
-        return self.size - self._cursor
-
     def _take(self, n: int) -> np.ndarray:
-        if n > self.remaining:
-            raise BudgetError(f"requested {n} pairs, only {self.remaining} remain")
+        remaining = self.labels.shape[0] - self._cursor
+        if n > remaining:
+            raise BudgetError(f"requested {n} pairs, only {remaining} remain")
         batch = self.labels[self._cursor:self._cursor + n]
         self._cursor += n
         return batch
 
 
-def select_subensemble(ensemble: Ensemble, labels, expected_type: str | None = None) -> SubensembleHandle:
+def select_subensemble(ensemble: Ensemble, labels) -> SubensembleHandle:
     """Handle over the named pairs, in ascending label order.
 
     Only lifecycle is checked (pairs must be collapsed; sample_batch rejects
-    consumed ones): a party cannot locally verify Type I vs Type II, so
-    expected_type is recorded for bookkeeping but never validated against the
-    hidden types.
+    consumed ones): a party cannot locally verify Type I vs Type II, so the
+    hidden types are never consulted.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if not np.all(labels[1:] > labels[:-1]):  # both parties' label sets arrive sorted
         labels = np.sort(labels)
     if labels.shape[0] == 0:
-        return SubensembleHandle(ensemble, labels, expected_type)
+        return SubensembleHandle(ensemble, labels)
     if labels[0] < 1 or labels[-1] > ensemble.n_pairs:
         bad = labels[0] if labels[0] < 1 else labels[-1]
         raise KeyError(f"unknown pair label {int(bad)}")
     if ensemble.type_i is None:
         raise ProtocolOrderError("subensemble selection requires collapsed pairs")
-    return SubensembleHandle(ensemble, labels, expected_type)
+    return SubensembleHandle(ensemble, labels)
 
 
 def pos_probability(party: str, pair_type: int, omega: float, tau: float,
@@ -245,7 +203,7 @@ def pos_probability(party: str, pair_type: int, omega: float, tau: float,
 
 
 def sample_batch(handle: SubensembleHandle, t: float, batch_size: int,
-                 party: str, phi, rng: np.random.Generator) -> tuple[int, int]:
+                 party: str, phi: float, rng: np.random.Generator) -> tuple[int, int]:
     """Consume batch_size pairs at global time t; returns (count_pos, batch_size).
 
     Pairs are taken in label order; each outcome uses one uniform draw against
@@ -258,7 +216,7 @@ def sample_batch(handle: SubensembleHandle, t: float, batch_size: int,
         raise ProtocolOrderError("cannot sample an idle pair")
     if np.any(ens.consumed[idx]):
         raise ProtocolOrderError("cannot sample a consumed pair")
-    phi_meas = _as_phi(phi)
+    phi_meas = normalize_phase(phi)
     tau = float(t) - ens.t0
     omega = ens.species.omega
     p_i = pos_probability(party, TYPE_I, omega, tau, ens.collapse_phi, ens.eta, phi_meas)
@@ -269,23 +227,3 @@ def sample_batch(handle: SubensembleHandle, t: float, batch_size: int,
     ens.consumed[idx] = True
     return n_pos, int(labels.shape[0])
 
-
-def sample_population(handle: SubensembleHandle, schedule: SamplingSchedule,
-                      party: str, phi, rng: np.random.Generator) -> PopulationSeries:
-    """Destructive batch sampling of a subensemble over a measurement schedule.
-
-    At each schedule time (global), batch_size pairs are consumed in label
-    order; outcome randomness comes solely from the rng draws.
-    """
-    if schedule.total_pairs > handle.remaining:
-        raise BudgetError(
-            f"schedule needs {schedule.total_pairs} pairs, handle has {handle.remaining}"
-        )
-    times, c_pos, c_neg, batches = [], [], [], []
-    for t in schedule.times:
-        n_pos, n = sample_batch(handle, t, schedule.batch_size, party, phi, rng)
-        times.append(t)
-        c_pos.append(n_pos)
-        c_neg.append(n - n_pos)
-        batches.append(n)
-    return PopulationSeries(times, c_pos, c_neg, batches)

@@ -5,14 +5,6 @@ class QcsError(Exception):
     """Base class for all simulator errors."""
 
 
-class NonUnitaryError(QcsError):
-    """A user-supplied matrix failed the unitarity check."""
-
-
-class ImpossibleBranchError(QcsError):
-    """A measurement draw selected a branch with (numerically) zero probability."""
-
-
 class ProtocolOrderError(QcsError):
     """An operation was attempted out of lifecycle order (e.g. re-collapsing a pair)."""
 

@@ -35,7 +35,8 @@ from .ensemble import (
     sample_batch,
     select_subensemble,
 )
-from .errors import BudgetError, ConfigError, InconclusiveError, ProtocolOrderError, blame
+from .errors import (BudgetError, ConfigError, EstimationError, InconclusiveError,
+                     ProtocolOrderError, blame)
 from .estimation import BeatSeries, PhaseEstimate
 from .quantum import ClockSpecies, circular_difference, normalize_phase
 
@@ -156,10 +157,6 @@ class Transcript:
 
     def to_jsonl(self) -> str:
         return "".join(_JSONL_ENCODER.encode(r) + "\n" for r in self.records)
-
-    @staticmethod
-    def parse_jsonl(text: str) -> list[dict]:
-        return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 @dataclass
@@ -296,7 +293,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     complement_labels). He samples it on his (absolute, pre-agreed) schedule;
     scheduled times that precede delivery cannot be measured and make the
     run inconclusive. Both parties fit their clock phase against their own
-    local timestamps.
+    local timestamps; a fit that cannot be made leaves the run inconclusive.
     """
     species = ensemble.species
     phi_a = alice.phase_for(species)
@@ -325,7 +322,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
             type_i_labels = alice_collapse_all(ensemble, t, phi_a, quantum_rng)
             outcome.n_type_i = int(type_i_labels.shape[0])
             outcome.n_type_ii = ensemble.n_pairs - outcome.n_type_i
-            alice_handle = select_subensemble(ensemble, type_i_labels, "type_i")
+            alice_handle = select_subensemble(ensemble, type_i_labels)
             if transcript is not None:
                 transcript.record("collapse", t, species=species.name,
                                   n_type_i=outcome.n_type_i, n_type_ii=outcome.n_type_ii)
@@ -340,7 +337,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
                 bisect.insort(events, _event(msg.deliver_time, "deliver", msg), lo=pos)
         elif kind == "deliver":
             bob_type_ii = complement_labels(payload.type_i_bitmap, ensemble.n_pairs)
-            bob_handle = select_subensemble(ensemble, bob_type_ii, "type_ii")
+            bob_handle = select_subensemble(ensemble, bob_type_ii)
             if transcript is not None:
                 transcript.record("deliver", t, species=species.name,
                                   n_labels=ensemble.n_pairs - int(bob_type_ii.shape[0]))
@@ -382,10 +379,10 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
 
     outcome.alice_series = build_series(a_counts, alice)
     outcome.bob_series = build_series(b_counts, bob)
-    if outcome.alice_series is not None and not budget_hit:
-        outcome.alice_phase = estimation.estimate_phase(outcome.alice_series, species)
-
     result = SyncResult(status="ok", species_outcomes={species.name: outcome})
+    if outcome.alice_series is not None and not budget_hit:
+        outcome.alice_phase = _fit(result, "alice_phase", estimation.estimate_phase,
+                                   outcome.alice_series, species)
     if lost:
         result.status, result.reason = "no_sync", "label_message_lost"
         return result
@@ -395,8 +392,23 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     if budget_hit or outcome.bob_series is None:
         result.status, result.reason = "inconclusive", "budget_exhausted"
         return result
-    outcome.bob_phase = estimation.estimate_phase(outcome.bob_series, species)
+    if result.status == "ok":  # else Alice's fit failed
+        outcome.bob_phase = _fit(result, "bob_phase", estimation.estimate_phase,
+                                 outcome.bob_series, species)
     return result
+
+
+def _fit(result: SyncResult, name: str, fit, *args):
+    """fit(*args), or None once result is made inconclusive: with the fit's
+    own reason if it judged its data inconclusive, or with a reason that
+    names the fit if the fit could not be made (an EstimationError)."""
+    try:
+        return fit(*args)
+    except InconclusiveError as exc:
+        result.status, result.reason = "inconclusive", str(exc)
+    except EstimationError as exc:
+        result.status, result.reason = "inconclusive", f"{name} fit failed: {exc}"
+    return None
 
 
 def check_distinct_species(species1: ClockSpecies, species2: ClockSpecies) -> None:
@@ -440,13 +452,13 @@ def run_two_frequency(ensembles: tuple[Ensemble, Ensemble], alice: PartyConfig,
     w1, w2 = ens1.species.omega, ens2.species.omega
     out1 = merged.species_outcomes[ens1.species.name]
     out2 = merged.species_outcomes[ens2.species.name]
-    try:
-        merged.beats_a = estimation.beat_difference(out1.alice_series, out2.alice_series)
-        merged.beats_b = estimation.beat_difference(out1.bob_series, out2.bob_series)
-        merged.envelope_a = estimation.envelope_phase(merged.beats_a, w1, w2)
-        merged.envelope_b = estimation.envelope_phase(merged.beats_b, w1, w2)
-    except InconclusiveError as exc:
-        merged.status, merged.reason = "inconclusive", str(exc)
+    merged.beats_a = estimation.beat_difference(out1.alice_series, out2.alice_series)
+    merged.beats_b = estimation.beat_difference(out1.bob_series, out2.bob_series)
+    merged.envelope_a = _fit(merged, "envelope_a", estimation.envelope_phase,
+                             merged.beats_a, w1, w2)
+    if merged.status == "ok":
+        merged.envelope_b = _fit(merged, "envelope_b", estimation.envelope_phase,
+                                 merged.beats_b, w1, w2)
     return merged
 
 
@@ -475,13 +487,14 @@ def establish_time_origin(config: TimeOriginConfig, ensembles: tuple[Ensemble, E
     if result.status != "ok":
         return result
     w1, w2 = ens1.species.omega, ens2.species.omega
-    try:
-        result.t_origin_a, result.t_origin_sigma_a = estimation.first_envelope_maximum(
-            result.beats_a, w1, w2)
-        result.t_origin_b, result.t_origin_sigma_b = estimation.first_envelope_maximum(
-            result.beats_b, w1, w2)
-    except InconclusiveError as exc:
-        result.status, result.reason = "inconclusive", str(exc)
+    origin = _fit(result, "t_origin_a", estimation.first_envelope_maximum,
+                  result.beats_a, w1, w2)
+    if origin is not None:
+        result.t_origin_a, result.t_origin_sigma_a = origin
+        origin = _fit(result, "t_origin_b", estimation.first_envelope_maximum,
+                      result.beats_b, w1, w2)
+    if origin is not None:
+        result.t_origin_b, result.t_origin_sigma_b = origin
     return result
 
 

@@ -1,9 +1,8 @@
-"""Exact two-level / two-qubit quantum mechanics.
+"""Clock species and the phase arithmetic of the Bloch equator.
 
-States are stored as complex amplitude vectors (length 2 or 4) and compared
-via fidelity |<a|b>|, never amplitude-wise: a physical state is a ray, not a
-vector. All operations here are pure; randomness is injected by the caller
-as explicit uniform draws so that protocol runs are bit-reproducible.
+A run needs no quantum state: it samples outcomes from the closed-form
+single-pair law (ensemble.pos_probability). The state-vector oracle that
+checks that law lives with the tests (tests/oracle.py).
 """
 
 from __future__ import annotations
@@ -11,20 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ImpossibleBranchError, NonUnitaryError, blame
+from .errors import blame
 
 TWO_PI = 2.0 * math.pi
-SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-# Norm drift allowed on internally-produced states; looser bound for
-# user-supplied matrices and states.
-NORM_TOL = 1e-12
-INPUT_TOL = 1e-9
-
-# A measurement branch below this probability cannot be selected by a draw.
-BRANCH_FLOOR = 1e-15
 
 
 def normalize_phase(phi: float) -> float:
@@ -53,16 +41,6 @@ def circular_difference(a: float, b: float, period: float = TWO_PI) -> float:
 
 
 @dataclass(frozen=True)
-class BasisPhase:
-    """A party's choice of |pos> on the Bloch equator, normalized to [0, 2*pi)."""
-
-    phi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", normalize_phase(self.phi))
-
-
-@dataclass(frozen=True)
 class ClockSpecies:
     """A qubit species with transition angular frequency omega (rad/s)."""
 
@@ -76,192 +54,3 @@ class ClockSpecies:
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise blame(ValueError(f"omega must be positive and finite, got {self.omega}"),
                         "omega")
-
-
-def _as_phi(phi) -> float:
-    return phi.phi if isinstance(phi, BasisPhase) else normalize_phase(phi)
-
-
-def _check_state(amps: np.ndarray, tol: float) -> np.ndarray:
-    amps = np.asarray(amps, dtype=np.complex128)
-    if not np.all(np.isfinite(amps.view(np.float64))):
-        raise ValueError("state amplitudes must be finite")
-    norm = float(np.sum(np.abs(amps) ** 2))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"state not normalized: |psi|^2 = {norm!r}")
-    return amps
-
-
-class SingleQubitState:
-    """Amplitudes (a0, a1) over the energy eigenbasis {|0>, |1>}."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, a0: complex, a1: complex, tol: float = INPUT_TOL):
-        self.amps = _check_state(np.array([a0, a1]), tol)
-
-    @classmethod
-    def from_array(cls, amps, tol: float = INPUT_TOL) -> "SingleQubitState":
-        return cls(amps[0], amps[1], tol=tol)
-
-    def overlap(self, other: "SingleQubitState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def fidelity(self, other: "SingleQubitState") -> float:
-        return abs(self.overlap(other))
-
-    def __repr__(self):
-        return f"SingleQubitState({self.amps[0]!r}, {self.amps[1]!r})"
-
-
-class TwoQubitState:
-    """Amplitudes over |0>_A|0>_B, |0>_A|1>_B, |1>_A|0>_B, |1>_A|1>_B."""
-
-    __slots__ = ("amps",)
-
-    def __init__(self, amps, tol: float = INPUT_TOL):
-        amps = np.asarray(amps, dtype=np.complex128).reshape(4)
-        self.amps = _check_state(amps, tol)
-
-    def overlap(self, other: "TwoQubitState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
-    def fidelity(self, other: "TwoQubitState") -> float:
-        return abs(self.overlap(other))
-
-    def __repr__(self):
-        return f"TwoQubitState({self.amps!r})"
-
-
-def dual_basis_states(phi) -> tuple[SingleQubitState, SingleQubitState]:
-    """The dual (sigma_1) basis for equatorial phase phi.
-
-    Returns (|pos_phi>, |neg_phi>) with
-    |pos_phi> = (|0> + e^{i phi}|1>)/sqrt(2) and
-    |neg_phi> = (|0> - e^{i phi}|1>)/sqrt(2).
-    """
-    ph = np.exp(1j * _as_phi(phi))
-    pos = SingleQubitState(SQRT_HALF, SQRT_HALF * ph)
-    neg = SingleQubitState(SQRT_HALF, -SQRT_HALF * ph)
-    return pos, neg
-
-
-def evolve(state: SingleQubitState, species: ClockSpecies, dt: float) -> SingleQubitState:
-    """Free evolution by dt seconds: a0 picks up e^{-i omega dt/2}, a1 e^{+i omega dt/2}."""
-    if not math.isfinite(dt):
-        raise ValueError("dt must be finite")
-    half = 0.5 * species.omega * dt
-    out = state.amps * np.array([np.exp(-1j * half), np.exp(1j * half)])
-    return SingleQubitState.from_array(out, tol=NORM_TOL * 10)
-
-
-def evolution_unitary(species: ClockSpecies, dt: float) -> np.ndarray:
-    """The 2x2 diagonal free-evolution unitary for dt seconds."""
-    half = 0.5 * species.omega * dt
-    return np.diag([np.exp(-1j * half), np.exp(1j * half)])
-
-
-def hadamard() -> np.ndarray:
-    """The Hadamard transform, mapping |0> -> |pos_0> and |1> -> |neg_0>."""
-    return np.array([[1.0, 1.0], [1.0, -1.0]]) * SQRT_HALF
-
-
-def ramsey_probabilities(species: ClockSpecies, t: float, phase_offset: float = 0.0) -> tuple[float, float]:
-    """Outcome probabilities of a dual-basis measurement on an evolved |pos> state.
-
-    p0 = (1 + cos(omega*t + phase_offset))/2, p1 = 1 - p0.
-    """
-    p0 = 0.5 * (1.0 + math.cos(species.omega * t + phase_offset))
-    p0 = min(1.0, max(0.0, p0))
-    return p0, 1.0 - p0
-
-
-def singlet_state(eta: float = 0.0) -> TwoQubitState:
-    """The generalized singlet (|01> - e^{i eta}|10>)/sqrt(2)."""
-    return TwoQubitState([0.0, SQRT_HALF, -SQRT_HALF * np.exp(1j * eta), 0.0])
-
-
-def _require_unitary(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise NonUnitaryError(f"expected a 2x2 matrix, got shape {u.shape}")
-    resid = float(np.max(np.abs(u.conj().T @ u - np.eye(2))))
-    if resid > INPUT_TOL:
-        raise NonUnitaryError(f"matrix is not unitary (residual {resid:.3e})")
-    return u
-
-
-def apply_local(state: TwoQubitState, u_a, u_b) -> TwoQubitState:
-    """Apply (U_A (x) U_B) to a joint state. Rejects non-unitary inputs."""
-    u_a = _require_unitary(u_a)
-    u_b = _require_unitary(u_b)
-    out = np.kron(u_a, u_b) @ state.amps
-    return TwoQubitState(out, tol=NORM_TOL * 10)
-
-
-def dark_state_phase(u) -> float:
-    """Global phase arg(det U) picked up by the singlet under U (x) U, in [0, 2*pi)."""
-    u = _require_unitary(u)
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    return normalize_phase(float(np.angle(det)))
-
-
-def dual_projection_probability(state: TwoQubitState, which_party: str, phi) -> float:
-    """Probability that a dual-basis measurement on one party yields pos."""
-    pos, _ = dual_basis_states(phi)
-    m = state.amps.reshape(2, 2)  # m[a, b]
-    if which_party == "A":
-        c = pos.amps.conj() @ m
-    elif which_party == "B":
-        c = m @ pos.amps.conj()
-    else:
-        raise ValueError(f"which_party must be 'A' or 'B', got {which_party!r}")
-    return float(np.sum(np.abs(c) ** 2))
-
-
-def measure_dual(state: TwoQubitState, which_party: str, phi, draw: float) -> tuple[str, TwoQubitState]:
-    """Projective dual-basis measurement on one party of a joint state.
-
-    The outcome is 'pos' iff draw < P(pos); the post-state is the renormalized
-    projection. Deterministic given (state, phi, draw): the caller owns the
-    randomness source.
-    """
-    if not (0.0 <= draw < 1.0):
-        raise ValueError(f"draw must lie in [0, 1), got {draw}")
-    pos, neg = dual_basis_states(phi)
-    m = state.amps.reshape(2, 2)
-    if which_party == "A":
-        c_pos = pos.amps.conj() @ m
-        c_neg = neg.amps.conj() @ m
-    elif which_party == "B":
-        c_pos = m @ pos.amps.conj()
-        c_neg = m @ neg.amps.conj()
-    else:
-        raise ValueError(f"which_party must be 'A' or 'B', got {which_party!r}")
-    p_pos = float(np.sum(np.abs(c_pos) ** 2))
-
-    if draw < p_pos:
-        outcome, basis_state, other = "pos", pos, c_pos
-    else:
-        outcome, basis_state, other = "neg", neg, c_neg
-    # branch probability from the projection itself: 1 - p_pos suffers
-    # catastrophic cancellation for near-deterministic branches
-    branch_p = float(np.sum(np.abs(other) ** 2))
-    if branch_p < BRANCH_FLOOR:
-        raise ImpossibleBranchError(
-            f"drawn branch {outcome!r} has probability {branch_p:.3e}"
-        )
-    other = other / math.sqrt(branch_p)
-    if which_party == "A":
-        post = np.outer(basis_state.amps, other)
-    else:
-        post = np.outer(other, basis_state.amps)
-    return outcome, TwoQubitState(post.reshape(4), tol=NORM_TOL * 100)
-
-
-def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed 2x2 unitary (QR of a Ginibre matrix, phases fixed)."""
-    z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * SQRT_HALF
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))

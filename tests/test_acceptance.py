@@ -12,14 +12,23 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ks_2samp
 
+from oracle import (
+    apply_local,
+    dark_state_phase,
+    dual_projection_probability,
+    evolution_unitary,
+    haar_random_unitary,
+    measure_dual,
+    singlet_state,
+)
 from qclocksync.channels import ChannelModel, MediumModel, es_rms_error
 from qclocksync.cli import main
 from qclocksync.ensemble import (
     TYPE_I,
     TYPE_II,
+    Ensemble,
     SamplingSchedule,
     alice_collapse_all,
-    create_ensemble,
     pos_probability,
     sample_batch,
     select_subensemble,
@@ -39,17 +48,7 @@ from qclocksync.protocol import (
     run_single_frequency,
     run_two_frequency,
 )
-from qclocksync.quantum import (
-    ClockSpecies,
-    apply_local,
-    circular_difference,
-    dark_state_phase,
-    dual_projection_probability,
-    evolution_unitary,
-    haar_random_unitary,
-    measure_dual,
-    singlet_state,
-)
+from qclocksync.quantum import ClockSpecies, circular_difference
 
 import yaml
 
@@ -91,11 +90,11 @@ def test_02_no_signalling():
     ok = True
     for seed in range(100):
         rng = np.random.default_rng(2000 + seed)
-        ens = create_ensemble(batch * len(times), species,
-                              eta=rng.uniform(0, 2 * math.pi))
+        ens = Ensemble(batch * len(times), species,
+                       eta=rng.uniform(0, 2 * math.pi))
         alice_collapse_all(ens, 0.0, rng.uniform(0, 2 * math.pi), rng)
         # Bob holds the whole ensemble: no label partition has reached him
-        handle = select_subensemble(ens, ens.labels)
+        handle = select_subensemble(ens, np.arange(1, ens.n_pairs + 1))
         for t in times:
             n_pos, n = sample_batch(handle, float(t), batch, "B", 0.4, rng)
             if abs(n_pos / n - 0.5) > sigma4:
@@ -117,7 +116,7 @@ def _single_frequency_runs(delta: float, n_seeds: int):
     channel = ChannelModel()
     outcomes = []
     for seed in range(n_seeds):
-        ens = create_ensemble(1_000_000, species)
+        ens = Ensemble(1_000_000, species)
         result = run_single_frequency(ens, alice, bob, channel, schedules,
                                       np.random.default_rng(3000 + seed),
                                       np.random.default_rng(1))
@@ -156,7 +155,7 @@ TF_SPECIES = (ClockSpecies("tone1", 2.0), ClockSpecies("tone2", 2.2))
 def _two_frequency_run(delta: float, quantum_seed: int):
     alice = PartyConfig("A", {"tone1": 0.9, "tone2": 0.9})
     bob = PartyConfig("B", {"tone1": 0.9 - delta, "tone2": 0.9 - delta})
-    ensembles = tuple(create_ensemble(80_000, s) for s in TF_SPECIES)
+    ensembles = tuple(Ensemble(80_000, s) for s in TF_SPECIES)
     times = tuple(np.linspace(0.05, 20.0, 120))
     schedules = ProtocolSchedules(alice=SamplingSchedule(times, 300),
                                   bob=SamplingSchedule(times, 300))
@@ -216,7 +215,7 @@ def test_06_time_origin():
                                   bob=SamplingSchedule(grid, 300))
     hits = 0
     for seed in range(100):
-        ensembles = tuple(create_ensemble(80_000, s) for s in TF_SPECIES)
+        ensembles = tuple(Ensemble(80_000, s) for s in TF_SPECIES)
         result = establish_time_origin(cfg, ensembles, alice, bob, ChannelModel(),
                                        schedules, np.random.default_rng(6000 + seed),
                                        np.random.default_rng(3))
@@ -244,7 +243,7 @@ def _channel_run(channel: ChannelModel, quantum_seed: int):
                                   bob=SamplingSchedule(bob_times, 400))
     alice = PartyConfig("A", {"cs": 0.9})
     bob = PartyConfig("B", {"cs": 0.2})
-    ens = create_ensemble(12_000, species)
+    ens = Ensemble(12_000, species)
     result = run_single_frequency(ens, alice, bob, channel, schedules,
                                   np.random.default_rng(quantum_seed),
                                   np.random.default_rng(4))
@@ -284,7 +283,7 @@ def test_07_channel_independence():
         bob = PartyConfig("B", {"cs": 0.2})
         errs = []
         for seed in range(50):
-            ens = create_ensemble(12_000, species)
+            ens = Ensemble(12_000, species)
             result = run_single_frequency(ens, alice, bob, ch, schedules,
                                           np.random.default_rng(7100 + seed),
                                           np.random.default_rng(5))

@@ -147,6 +147,9 @@ class TestValidate:
         ({"schedule": {"start": 1e20, "stop": 1.00000000000001e20, "n_points": 1000,
                        "batch_size": 4}}, "schedule"),
         ({"bob_phase": 0.0}, "delta"),  # 0.7 given too: the two disagree
+        # more pairs than numpy can index, in a float and in an int
+        ({"n_pairs": 1.0e300}, "n_pairs"),
+        ({"n_pairs": 2**63}, "n_pairs"),
         # Alice's local times round to one value: her phase fit had no 3 distinct times
         ({"alice_clock_offset": 2.0**70}, "schedule.n_points"),
         # unknown keys inside nested mappings
@@ -164,7 +167,8 @@ class TestValidate:
             "send-before-collapse", "string-omega1", "same-species-names",
             "unresolved-fast-oscillation", "too-few-envelope-points",
             "unresolved-bob-schedule", "indistinct-schedule-times",
-            "delta-disagrees-with-bob-phase", "offset-collapses-local-times", "unknown-seed",
+            "delta-disagrees-with-bob-phase", "huge-float-n-pairs", "n-pairs-beyond-intp",
+            "offset-collapses-local-times", "unknown-seed",
             "unknown-schedule-key", "unknown-bob-schedule-key", "unknown-species-key",
             "unknown-time-origin-key", "unknown-baseline-key"])
     def test_malformed_scenario_exits_1(self, tmp_path, capsys, overrides, field):
@@ -253,6 +257,16 @@ class TestRun:
         assert main(["run", _write(tmp_path, echoed.to_dict(), "echo.yaml"),
                      "-o", str(out2)]) == 0
         assert _read_artifacts(out1) == _read_artifacts(out2)
+
+    def test_unfittable_phase_is_inconclusive(self, tmp_path, capsys):
+        # cos(omega t) is 1 at every sample: the phase fit cannot be made
+        path = _write(tmp_path, {"species": [{"name": "cs", "omega": 1.0e-300}]})
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        assert main(["run", path, "-o", str(tmp_path / "out")]) == 3
+        record = json.loads(capsys.readouterr().out)
+        assert record["status"] == "inconclusive"
+        assert record["reason"] == "alice_phase fit failed: design matrix is rank deficient"
 
     def test_invalid_config_exits_1(self, tmp_path, capsys):
         path = _write(tmp_path, {"n_pairs": 0})
@@ -473,6 +487,18 @@ class TestSweep:
                      "--param", param, "--values", "[1.0]"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [d["field"] for d in report["diagnostics"]] == ["--param"]
+
+    def test_sweep_checks_seeds_first(self, tmp_path, capsys):
+        # the cells' seeds are derived from the base seeds: run's diagnostic, exit 1
+        path = _write(tmp_path, {"seeds": {"quantum": -1, "channel": 6}})
+        assert main(["run", path, "-o", str(tmp_path / "r")]) == 1
+        expected = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in expected["diagnostics"]] == ["seeds.quantum"]
+        out = tmp_path / "s"
+        assert main(["sweep", path, "-o", str(out),
+                     "--param", "delta", "--values", "[0.1]"]) == 1
+        assert json.loads(capsys.readouterr().out) == expected
+        assert not out.exists()
 
     def test_sweep_rejects_bad_values(self, tmp_path):
         path = _write(tmp_path)

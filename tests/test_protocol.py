@@ -1,13 +1,14 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qclocksync import protocol
+from qclocksync import estimation, protocol
 from qclocksync.channels import ChannelModel
-from qclocksync.ensemble import SamplingSchedule, create_ensemble
-from qclocksync.errors import ConfigError, ProtocolOrderError
+from qclocksync.ensemble import Ensemble, SamplingSchedule
+from qclocksync.errors import ConfigError, EstimationError, ProtocolOrderError
 from qclocksync.protocol import (
     ClassicalMessage,
     PartyConfig,
@@ -47,7 +48,7 @@ def _schedules(bob_shift=0.0, n_points=12, batch=400, start=0.1, stop=4.0):
 def _run(delta=0.0, offset_a=0.0, offset_b=0.0, channel=IDEAL, bob_shift=0.0,
          quantum_seed=100, channel_seed=200, n_pairs=12_000, transcript=None):
     alice, bob = _parties(delta, offset_a, offset_b)
-    ens = create_ensemble(n_pairs, CS)
+    ens = Ensemble(n_pairs, CS)
     schedules = _schedules(bob_shift=bob_shift)
     return run_single_frequency(
         ens, alice, bob, channel, schedules,
@@ -109,7 +110,7 @@ class TestSingleFrequency:
     def test_alice_sampling_precedes_send_is_fine_at_same_instant(self):
         # collapse, send, deliver and first samples may share t = 0 ordering
         alice, bob = _parties()
-        ens = create_ensemble(12_000, CS)
+        ens = Ensemble(12_000, CS)
         times = tuple(np.linspace(0.0, 4.0, 12))
         schedules = ProtocolSchedules(alice=SamplingSchedule(times, 400),
                                       bob=SamplingSchedule(times, 400))
@@ -130,9 +131,10 @@ class TestDeterminismAndChannelIndependence:
         b, *_ = _run(delta=0.4, quantum_seed=9, channel_seed=10)
         oa, ob = a.species_outcomes["cs"], b.species_outcomes["cs"]
         assert oa.alice_phase == ob.alice_phase
-        assert ob.bob_phase == ob.bob_phase
-        assert oa.alice_series == ob.alice_series
-        assert oa.bob_series == ob.bob_series
+        assert oa.bob_phase == ob.bob_phase
+        for sa, sb in ((oa.alice_series, ob.alice_series), (oa.bob_series, ob.bob_series)):
+            for column in ("times", "count_pos", "count_neg", "batch_size"):
+                np.testing.assert_array_equal(getattr(sa, column), getattr(sb, column))
 
     def test_phase_estimates_identical_across_channel_delays(self):
         # fixed quantum stream + pre-agreed absolute schedule after the
@@ -179,7 +181,7 @@ class TestTranscript:
         transcript = Transcript()
         _run(transcript=transcript)
         text = transcript.to_jsonl()
-        back = Transcript.parse_jsonl(text)
+        back = [json.loads(line) for line in text.splitlines()]
         assert back == transcript.records
 
     def test_no_timestamps_in_label_payload(self):
@@ -210,13 +212,15 @@ class _ConstantStream:
 
 class TestLabelPath:
     def _capture(self, monkeypatch):
-        """Record every handle run_single_frequency selects and every message it sends."""
-        handles, messages = {}, []
+        """Record every handle run_single_frequency selects, in call order
+        (Alice's at the collapse, then Bob's at delivery), and every message
+        it sends."""
+        handles, messages = [], []
         select, broadcast = protocol.select_subensemble, protocol.broadcast_labels
 
-        def spy_select(ensemble, labels, expected_type=None):
-            handles[expected_type] = handle = select(ensemble, labels, expected_type)
-            return handle
+        def spy_select(*args):
+            handles.append(select(*args))
+            return handles[-1]
 
         def spy_broadcast(*args):
             msg = broadcast(*args)
@@ -233,8 +237,7 @@ class TestLabelPath:
         result, *_ = _run(n_pairs=12_001, channel=ChannelModel(base_delay=0.05),
                           bob_shift=1.0, transcript=transcript)
         assert result.status == "ok"
-        alice_labels = handles["type_i"].labels
-        bob_labels = handles["type_ii"].labels
+        alice_labels, bob_labels = (h.labels for h in handles)
         (msg,) = messages
         # 12,001 labels are 1,501 bytes; the 7 padding bits of the last are clear
         assert isinstance(msg.type_i_bitmap, bytes)
@@ -254,15 +257,16 @@ class TestLabelPath:
     def test_empty_complement(self, monkeypatch):
         handles, messages = self._capture(monkeypatch)
         alice, bob = _parties()
-        ens = create_ensemble(50, CS)
+        ens = Ensemble(50, CS)
         result = run_single_frequency(ens, alice, bob, IDEAL,
                                       _schedules(n_points=3, batch=10),
                                       _ConstantStream(0.0), np.random.default_rng(0))
-        assert np.array_equal(handles["type_i"].labels, np.arange(1, 51))
+        alice_handle, bob_handle = handles
+        assert np.array_equal(alice_handle.labels, np.arange(1, 51))
         # 48 labels in six full bytes, then labels 49 and 50 and six clear padding bits
         assert messages[0].type_i_bitmap == b"\xff" * 6 + b"\xc0"
-        assert handles["type_ii"].size == 0
-        assert handles["type_ii"].labels.dtype == np.int64
+        assert bob_handle.labels.size == 0
+        assert bob_handle.labels.dtype == np.int64
         # Bob has nothing to measure
         assert result.status == "inconclusive"
         assert result.reason == "budget_exhausted"
@@ -270,14 +274,15 @@ class TestLabelPath:
     def test_full_complement(self, monkeypatch):
         handles, messages = self._capture(monkeypatch)
         alice, bob = _parties()
-        ens = create_ensemble(50, CS)
+        ens = Ensemble(50, CS)
         result = run_single_frequency(ens, alice, bob, IDEAL,
                                       _schedules(n_points=3, batch=10),
                                       _ConstantStream(0.75), np.random.default_rng(0))
-        assert handles["type_i"].size == 0
+        alice_handle, bob_handle = handles
+        assert alice_handle.labels.size == 0
         assert messages[0].type_i_bitmap == bytes(7)
-        assert np.array_equal(handles["type_ii"].labels, np.arange(1, 51))
-        assert handles["type_ii"].labels.dtype == np.int64
+        assert np.array_equal(bob_handle.labels, np.arange(1, 51))
+        assert bob_handle.labels.dtype == np.int64
         # Alice has nothing to measure
         assert result.status == "inconclusive"
         assert result.reason == "budget_exhausted"
@@ -322,7 +327,7 @@ class TestLabelPath:
             alice=SamplingSchedule(times, 4000),
             bob=SamplingSchedule(tuple(t + 1.0 for t in times), 4000))
         result = run_single_frequency(
-            create_ensemble(200_000, CS), alice, bob,
+            Ensemble(200_000, CS), alice, bob,
             ChannelModel(base_delay=0.05, jitter_sigma=0.01), schedules,
             np.random.default_rng(2024), np.random.default_rng(2025))
         out = result.species_outcomes["cs"]
@@ -345,8 +350,8 @@ class TestLabelPath:
         # values taken before the event loop and the pair state were rewritten.
         alice = PartyConfig("A", {"tone1": 0.9, "tone2": 0.9})
         bob = PartyConfig("B", {"tone1": 0.5, "tone2": 0.5})
-        ensembles = (create_ensemble(20_000, ClockSpecies("tone1", 2.0)),
-                     create_ensemble(20_000, ClockSpecies("tone2", 2.2)))
+        ensembles = (Ensemble(20_000, ClockSpecies("tone1", 2.0)),
+                     Ensemble(20_000, ClockSpecies("tone2", 2.2)))
         times = tuple(np.linspace(0.05, 20.0, 60))
         schedules = ProtocolSchedules(alice=SamplingSchedule(times, 150),
                                       bob=SamplingSchedule(times, 150))
@@ -372,7 +377,7 @@ def _two_freq_setup(delta=0.0, offset_a=0.0, offset_b=0.0, n_pairs=80_000,
                         local_clock_offset=offset_a)
     bob = PartyConfig("B", {"tone1": 0.9 - delta, "tone2": 0.9 - delta},
                       local_clock_offset=offset_b)
-    ensembles = tuple(create_ensemble(n_pairs, s) for s in TF_SPECIES)
+    ensembles = tuple(Ensemble(n_pairs, s) for s in TF_SPECIES)
     times = tuple(np.linspace(0.05, stop, n_points))
     schedules = ProtocolSchedules(alice=SamplingSchedule(times, batch),
                                   bob=SamplingSchedule(times, batch))
@@ -381,16 +386,16 @@ def _two_freq_setup(delta=0.0, offset_a=0.0, offset_b=0.0, n_pairs=80_000,
 
 class TestTwoFrequency:
     def test_degenerate_frequencies_rejected(self):
-        ensembles = (create_ensemble(100, ClockSpecies("a", 2.0)),
-                     create_ensemble(100, ClockSpecies("b", 2.0)))
+        ensembles = (Ensemble(100, ClockSpecies("a", 2.0)),
+                     Ensemble(100, ClockSpecies("b", 2.0)))
         _, alice, bob, schedules = _two_freq_setup(n_pairs=100)
         with pytest.raises(ConfigError):
             run_two_frequency(ensembles, alice, bob, IDEAL, schedules,
                               np.random.default_rng(0), np.random.default_rng(1))
 
     def test_name_collision_rejected(self):
-        ensembles = (create_ensemble(100, ClockSpecies("a", 2.0)),
-                     create_ensemble(100, ClockSpecies("a", 2.2)))
+        ensembles = (Ensemble(100, ClockSpecies("a", 2.0)),
+                     Ensemble(100, ClockSpecies("a", 2.2)))
         _, alice, bob, schedules = _two_freq_setup(n_pairs=100)
         with pytest.raises(ConfigError):
             run_two_frequency(ensembles, alice, bob, IDEAL, schedules,
@@ -482,6 +487,53 @@ class TestTimeOrigin:
                                        np.random.default_rng(42),
                                        np.random.default_rng(43))
         assert result.status == "inconclusive"
+
+
+def _fail_on_call(monkeypatch, name, call):
+    """Make estimation.<name> raise EstimationError on its call-th call."""
+    fit, calls = getattr(estimation, name), []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == call:
+            raise EstimationError("no fit")
+        return fit(*args)
+
+    monkeypatch.setattr(estimation, name, failing)
+
+
+class TestFitFailures:
+    """A fit that cannot be made ends the run inconclusive, naming the fit."""
+
+    def test_bob_phase_fit(self, monkeypatch):
+        _fail_on_call(monkeypatch, "estimate_phase", 2)
+        result, *_ = _run()
+        assert (result.status, result.reason) == ("inconclusive", "bob_phase fit failed: no fit")
+        out = result.species_outcomes["cs"]
+        assert out.alice_phase is not None and out.bob_phase is None
+
+    @pytest.mark.parametrize("call,fit", [(1, "envelope_a"), (2, "envelope_b")])
+    def test_envelope_fit(self, monkeypatch, call, fit):
+        _fail_on_call(monkeypatch, "envelope_phase", call)
+        ensembles, alice, bob, schedules = _two_freq_setup(n_pairs=20_000, n_points=60,
+                                                           batch=150)
+        result = run_two_frequency(ensembles, alice, bob, IDEAL, schedules,
+                                   np.random.default_rng(30), np.random.default_rng(31))
+        assert (result.status, result.reason) == ("inconclusive", f"{fit} fit failed: no fit")
+        assert (result.envelope_a is None) == (call == 1)
+        assert result.envelope_b is None
+
+    @pytest.mark.parametrize("call,fit", [(1, "t_origin_a"), (2, "t_origin_b")])
+    def test_time_origin_fit(self, monkeypatch, call, fit):
+        _fail_on_call(monkeypatch, "first_envelope_maximum", call)
+        cfg = TimeOriginConfig(omega1=2.0, delta_omega=0.2, protocol_duration_T=7.0)
+        ensembles, alice, bob, schedules = _two_freq_setup(n_pairs=20_000, n_points=60,
+                                                           batch=150)
+        result = establish_time_origin(cfg, ensembles, alice, bob, IDEAL, schedules,
+                                       np.random.default_rng(40), np.random.default_rng(41))
+        assert (result.status, result.reason) == ("inconclusive", f"{fit} fit failed: no fit")
+        assert (result.t_origin_a is None) == (call == 1)
+        assert result.t_origin_b is None
 
 
 class TestConfigObjects:

@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclocksync.errors import ImpossibleBranchError, NonUnitaryError
-from qclocksync.quantum import (
-    BasisPhase,
-    ClockSpecies,
+from oracle import (
+    ImpossibleBranchError,
+    NonUnitaryError,
     SingleQubitState,
+    TwoQubitState,
     apply_local,
     dark_state_phase,
     dual_basis_states,
     dual_projection_probability,
     evolution_unitary,
-    evolve,
-    hadamard,
     haar_random_unitary,
     measure_dual,
-    normalize_phase,
-    ramsey_probabilities,
     singlet_state,
 )
+from qclocksync.quantum import ClockSpecies, normalize_phase
 
 SQ2 = 1.0 / math.sqrt(2.0)
 CS = ClockSpecies("cs", 1.0)
@@ -44,10 +41,11 @@ class TestDualBasis:
         assert abs(pos.overlap(neg)) < 1e-12
         assert pos.fidelity(pos) == pytest.approx(1.0, abs=1e-12)
 
-    def test_accepts_basis_phase_wrapper(self):
-        a, _ = dual_basis_states(BasisPhase(0.4))
-        b, _ = dual_basis_states(0.4)
-        np.testing.assert_allclose(a.amps, b.amps)
+
+def evolve(state, species, dt):
+    """Free evolution of a single qubit by dt seconds, as the oracle evolves
+    each party's qubit."""
+    return SingleQubitState.from_array(evolution_unitary(species, dt) @ state.amps)
 
 
 class TestEvolve:
@@ -84,14 +82,15 @@ class TestEvolve:
 
 class TestRamseyProbabilities:
     def test_trivial_points(self):
-        assert ramsey_probabilities(CS, 0.0) == pytest.approx((1.0, 0.0), abs=1e-15)
-        p0, p1 = ramsey_probabilities(CS, math.pi / CS.omega)
-        assert p0 == pytest.approx(0.0, abs=1e-12)
-        assert p1 == pytest.approx(1.0, abs=1e-12)
+        pos, _ = dual_basis_states(0.0)
+        assert evolve(pos, CS, 0.0).fidelity(pos) ** 2 == pytest.approx(1.0, abs=1e-15)
+        half_period = evolve(pos, CS, math.pi / CS.omega)
+        assert half_period.fidelity(pos) ** 2 == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_state_vector_oracle(self):
         # Oracle: start in |pos_0>, evolve, project onto the dual basis rotated
-        # so that measuring pos has phase lag equal to the requested offset.
+        # so that measuring pos has phase lag equal to the requested offset;
+        # the Ramsey law gives P(pos) = (1 + cos(omega t + offset))/2.
         rng = np.random.default_rng(123)
         for _ in range(200):
             omega = rng.uniform(0.1, 20.0)
@@ -100,11 +99,12 @@ class TestRamseyProbabilities:
             species = ClockSpecies("x", omega)
             pos0, _ = dual_basis_states(0.0)
             state = evolve(pos0, species, t)
-            pos_m, _ = dual_basis_states(-offset)
+            pos_m, neg_m = dual_basis_states(-offset)
             p_oracle = abs(np.vdot(pos_m.amps, state.amps)) ** 2
-            p0, p1 = ramsey_probabilities(species, t, offset)
+            p0 = 0.5 * (1.0 + math.cos(omega * t + offset))
             assert p0 == pytest.approx(p_oracle, abs=1e-12)
-            assert p0 + p1 == pytest.approx(1.0, abs=1e-15)
+            assert p_oracle + abs(np.vdot(neg_m.amps, state.amps)) ** 2 == \
+                pytest.approx(1.0, abs=1e-15)
 
 
 class TestSingletState:
@@ -157,7 +157,8 @@ class TestApplyLocalAndDarkState:
 
     def test_dark_state_phase_examples(self):
         assert dark_state_phase(np.eye(2)) == pytest.approx(0.0, abs=1e-12)
-        assert dark_state_phase(hadamard()) == pytest.approx(math.pi, abs=1e-9)
+        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+        assert dark_state_phase(hadamard) == pytest.approx(math.pi, abs=1e-9)
         alpha, beta = 0.6, 2.1
         u = np.diag([np.exp(1j * alpha), np.exp(1j * beta)])
         assert dark_state_phase(u) == pytest.approx(
@@ -220,7 +221,6 @@ class TestMeasureDual:
         eps = 3e-8
         a = (pos.amps + eps * neg.amps) / math.sqrt(1 + eps**2)
         product = np.kron(a, neg.amps)
-        from qclocksync.quantum import TwoQubitState
         state = TwoQubitState(product)
         with pytest.raises(ImpossibleBranchError):
             measure_dual(state, "A", 0.0, np.nextafter(1.0, 0.0))
@@ -248,5 +248,5 @@ class TestValidation:
         assert info.value.param == "name"
 
     def test_basis_phase_normalized(self):
-        assert BasisPhase(-0.5).phi == pytest.approx(2 * math.pi - 0.5)
-        assert BasisPhase(2 * math.pi).phi == 0.0
+        assert normalize_phase(-0.5) == pytest.approx(2 * math.pi - 0.5)
+        assert normalize_phase(2 * math.pi) == 0.0

@@ -20,17 +20,17 @@ from .config import (
     EXIT_INVALID_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME_ERROR,
+    FIELDS,
     Diagnostic,
-    ScenarioConfig,
     load_config,
+    parse_seeds,
     run_scenario,
-    seed_diagnostics,
     validate_config,
 )
 from .errors import ConfigError
 
 
-def _load(path: str) -> ScenarioConfig:
+def _load(path: str) -> dict:
     try:
         return load_config(path)
     except (ConfigError, OSError, ValueError, yaml.YAMLError) as exc:
@@ -38,16 +38,18 @@ def _load(path: str) -> ScenarioConfig:
 
 
 def _invalid(field: str, constraint: str, observed) -> int:
-    """Print one diagnostic, as validate and run print theirs; returns exit code 1."""
-    print(json.dumps({"diagnostics": [Diagnostic(field, constraint, observed).to_dict()]}))
-    return EXIT_INVALID_CONFIG
+    """Report one diagnostic, as validate and run report theirs; returns exit code 1."""
+    return _report([Diagnostic(field, constraint, observed)])
 
 
-def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    if args.quantum_seed is not None:
-        config.seeds["quantum"] = args.quantum_seed
-    if args.channel_seed is not None:
-        config.seeds["channel"] = args.channel_seed
+def _apply_overrides(config: dict, args) -> dict:
+    """The seeds given as flags replace the scenario's; a seeds that is not a
+    mapping (nor null) is left for validation to report."""
+    flags = {"quantum": args.quantum_seed, "channel": args.channel_seed}
+    seeds = config.get("seeds")
+    if seeds is None or isinstance(seeds, dict):
+        given = {k: v for k, v in flags.items() if v is not None}
+        config["seeds"] = {**(seeds or {}), **given}
     return config
 
 
@@ -71,8 +73,10 @@ def cmd_validate(args) -> int:
 def cmd_sweep(args) -> int:
     """Run one scenario per value of a swept field, with derived independent
     seeds per cell, and merge a summary CSV in cell-index order."""
-    config = _load(args.config)
-    _apply_overrides(config, args)
+    config = _apply_overrides(_load(args.config), args)
+    if args.param in ("seeds", "seeds.quantum", "seeds.channel"):
+        return _invalid("--param", "not seeds, seeds.quantum or seeds.channel, which each "
+                        "cell derives from the base seeds", args.param)
     try:
         values = json.loads(args.values)
     except json.JSONDecodeError as exc:
@@ -80,26 +84,29 @@ def cmd_sweep(args) -> int:
     if not isinstance(values, list) or not values:
         return _invalid("--values", "a non-empty JSON list", values)
 
-    out_dir = args.output_dir or config.output_dir
+    out_dir = args.output_dir or config.get("output_dir")
     if out_dir is None:
         return _invalid("output_dir", "required", None)
-    diags = seed_diagnostics(config)  # the cells' seeds are derived from them
+    seeds, diags = parse_seeds(config.get("seeds"))  # the cells' seeds derive from them
     if diags:
         return _report(diags)
-    os.makedirs(out_dir, exist_ok=True)
 
-    q_children = np.random.SeedSequence(int(config.seeds["quantum"])).spawn(len(values))
-    c_children = np.random.SeedSequence(int(config.seeds["channel"])).spawn(len(values))
-    rows = []
-    worst = EXIT_OK
+    q_children = np.random.SeedSequence(int(seeds["quantum"])).spawn(len(values))
+    c_children = np.random.SeedSequence(int(seeds["channel"])).spawn(len(values))
+    cells = []
     for i, value in enumerate(values):
-        raw = copy.deepcopy(config.to_dict())
-        if not _set_dotted(raw, args.param, value):
+        cell = copy.deepcopy(config)
+        cell["seeds"] = {**seeds, "quantum": int(q_children[i].generate_state(1)[0]),
+                         "channel": int(c_children[i].generate_state(1)[0])}
+        if not _set_dotted(cell, args.param, value):
             return _invalid("--param", "a dotted path to a config field (list items by index)",
                             args.param)
-        cell = ScenarioConfig.from_dict(raw)
-        cell.seeds["quantum"] = int(q_children[i].generate_state(1)[0])
-        cell.seeds["channel"] = int(c_children[i].generate_state(1)[0])
+        cells.append(cell)
+    os.makedirs(out_dir, exist_ok=True)
+
+    rows = []
+    worst = EXIT_OK
+    for i, (value, cell) in enumerate(zip(values, cells)):
         cell_dir = os.path.join(out_dir, f"cell_{i:03d}")
         code, record = run_scenario(cell, output_dir=cell_dir)
         worst = max(worst, code)
@@ -118,7 +125,7 @@ def cmd_sweep(args) -> int:
 
 
 def _set_dotted(raw: dict, path: str, value) -> bool:
-    """Set the field of a config dict at a dotted path, indexing lists by
+    """Set the field of a scenario mapping at a dotted path, indexing lists by
     integer; False if the path leads to no field (a new key may be set in a
     nested mapping, where validation judges it)."""
     *parents, last = path.split(".")
@@ -128,7 +135,7 @@ def _set_dotted(raw: dict, path: str, value) -> bool:
             target = target[int(key) if isinstance(target, list) else key]
         if isinstance(target, list):
             target[int(last)] = value
-        elif isinstance(target, dict) and (target is not raw or last in raw):
+        elif isinstance(target, dict) and (target is not raw or last in FIELDS):
             target[last] = value
         else:
             return False
@@ -173,8 +180,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ConfigError as exc:
-        return _invalid("config", str(exc), None)
     except Exception as exc:  # pragma: no cover - defensive
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR

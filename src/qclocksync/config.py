@@ -3,7 +3,7 @@
 A scenario is a human-editable YAML file. Running it writes a deterministic
 artifact set into the output directory:
 
-    config_echo.yaml   resolved configuration (reloads to an equivalent config)
+    config_echo.yaml   resolved scenario, every field (reloads to the same run)
     events.jsonl       ordered event transcript (line-delimited records)
     series_*.csv       per-party, per-species population series
     result.json        SyncResult (or baseline summary) as a structured record
@@ -15,6 +15,7 @@ seeds and package version instead.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -66,51 +67,36 @@ class Diagnostic:
         return dataclasses.asdict(self)
 
 
-@dataclass
-class ScenarioConfig:
-    mode: str
-    n_pairs: int = 0
-    eta: float = 0.0
-    species: list[dict] = field(default_factory=list)  # [{'name':..., 'omega':...}]
-    alice_phase: float = 0.0
-    bob_phase: float | None = None  # derived from delta when None
-    delta: object = None  # float | 'random' | None
-    alice_clock_offset: float = 0.0
-    bob_clock_offset: float = 0.0
-    schedule: dict = field(default_factory=dict)  # start, stop, n_points, batch_size
-    bob_schedule: dict | None = None
-    collapse_time: float = 0.0
-    send_time: float | None = None
-    channel: dict = field(default_factory=dict)
-    time_origin: dict | None = None  # omega1, delta_omega, duration_T
-    baseline: dict | None = None
-    seeds: dict = field(default_factory=lambda: {"quantum": 0, "channel": 0, "delta": 0})
-    output_dir: str | None = None
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "mode" not in raw:
-            raise ConfigError("config field 'mode' is required")
-        if not isinstance(raw.get("seeds") or {}, dict):
-            raise ConfigError("config field 'seeds' must be a mapping")
-        cfg = cls(**raw)
-        cfg.seeds = {"quantum": 0, "channel": 0, "delta": 0, **(cfg.seeds or {})}
-        return cfg
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
+# A scenario is the mapping its YAML file holds. These are its fields, each
+# with the value it takes when the scenario leaves it out.
+FIELDS = {
+    "mode": None,  # one of MODES; required
+    "n_pairs": 0,
+    "eta": 0.0,
+    "species": [],  # [{'name':..., 'omega':...}]
+    "alice_phase": 0.0,
+    "bob_phase": None,  # derived from delta when None
+    "delta": None,  # float | 'random' | None
+    "alice_clock_offset": 0.0,
+    "bob_clock_offset": 0.0,
+    "schedule": {},  # start, stop, n_points, batch_size
+    "bob_schedule": None,
+    "collapse_time": 0.0,
+    "send_time": None,
+    "channel": {},
+    "time_origin": None,  # omega1, delta_omega, duration_T
+    "baseline": None,
+    "seeds": {"quantum": 0, "channel": 0, "delta": 0},
+    "output_dir": None,
+}
 
 
-def load_config(path) -> ScenarioConfig:
+def load_config(path) -> dict:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping")
-    return ScenarioConfig.from_dict(raw)
+    return raw
 
 
 def _schedule_from(d: dict) -> SamplingSchedule:
@@ -125,10 +111,10 @@ def _budget_limit(n_pairs: int) -> float:
 
 @dataclass
 class Scenario:
-    """A valid scenario as its run uses it: the resolved config (what
+    """A valid scenario as its run uses it: the resolved mapping (what
     config_echo.yaml holds) and the objects built from it."""
 
-    config: ScenarioConfig
+    config: dict
     species: list[ClockSpecies] = field(default_factory=list)
     alice: PartyConfig | None = None
     bob: PartyConfig | None = None
@@ -183,9 +169,10 @@ class _Schema:
         self.error(field_, f"an integer >= {low}" if high is None
                    else f"an integer in [{low}, {high}]", value)
 
-    def mapping(self, field_: str, value, keys: tuple, required: bool = False) -> dict | None:
+    def mapping(self, field_: str, value, keys: tuple | dict,
+                required: bool = False) -> dict | None:
         """value if it is a mapping with no key outside keys, and with all of
-        them if required."""
+        them if required; field_ is "" for the scenario itself."""
         if not isinstance(value, dict):
             return self.error(field_, f"a mapping of {', '.join(keys)}", value)
         missing = [k for k in keys if k not in value] if required else []
@@ -193,7 +180,8 @@ class _Schema:
             self.error(field_, f"missing keys {missing}", value)
         unknown = [k for k in value if k not in keys]
         for key in unknown:
-            self.error(f"{field_}.{key}", f"one of {', '.join(keys)}", value[key])
+            self.error(f"{field_}.{key}" if field_ else str(key), f"one of {', '.join(keys)}",
+                       value[key])
         return None if missing or unknown else value
 
     def build(self, fields, make, *args, observed=None, rule: str = ""):
@@ -213,44 +201,57 @@ _SCHEDULE = ("start", "stop", "n_points", "batch_size")
 _TIME_ORIGIN = ("omega1", "delta_omega", "duration_T")
 _BASELINE = ("sigma_grid", "distance_grid", "n_trials", "mean_index", "n_qcs_seeds",
              "qcs_scenario")
+# a baseline sweep's QCS cell where the scenario gives none; its run takes the
+# sweep's seeds
+_DEFAULT_QCS_CELL = {
+    "mode": "single_frequency",
+    "n_pairs": 20000,
+    "species": [{"name": "cs", "omega": 1.0}],
+    "delta": 0.0,
+    "schedule": {"start": 0.0, "stop": 6.0, "n_points": 10, "batch_size": 500},
+}
 
 
-def parse_config(config: ScenarioConfig,
+def parse_config(raw: dict,
                  prefix: str = "") -> tuple[Scenario | None, list[Diagnostic]]:
-    """The Scenario that config describes (None if a diagnostic has severity
-    'error') and every diagnostic, each field name led by prefix.
+    """The Scenario that the mapping raw describes (None if a diagnostic has
+    severity 'error') and every diagnostic, each field name led by prefix.
 
     Field parsers check each field. The rules that tie fields together are
     those of the objects the run uses, which are built once the fields pass.
+    raw itself is left as it is: the resolved mapping is a new one.
     """
     schema = _Schema(prefix)
-    if config.mode not in MODES:
-        schema.error("mode", f"one of {MODES}", config.mode)
+    if schema.mapping("", raw, FIELDS) is None:
         return None, schema.diags
-    _parse_seeds(schema, config.seeds)
-    parse = _parse_baseline if config.mode == "baseline_sweep" else _parse_protocol
+    config = copy.deepcopy({**FIELDS, **raw})
+    if config["mode"] not in MODES:
+        schema.error("mode", f"one of {MODES}", config["mode"])
+        return None, schema.diags
+    config["seeds"], diags = parse_seeds(config["seeds"], prefix)
+    schema.diags.extend(diags)
+    parse = _parse_baseline if config["mode"] == "baseline_sweep" else _parse_protocol
     scenario = parse(schema, config)
     return (scenario if schema.ok else None), schema.diags
 
 
-def validate_config(config: ScenarioConfig) -> list[Diagnostic]:
+def validate_config(config: dict) -> list[Diagnostic]:
     """All load-time diagnostics; the config runs iff none is an 'error'."""
     return parse_config(config)[1]
 
 
-def _parse_seeds(schema: _Schema, seeds) -> None:
-    seeds = schema.mapping("seeds", seeds, _SEEDS)
-    for key in _SEEDS if seeds is not None else ():
-        schema.count(f"seeds.{key}", seeds.get(key), 0)
-
-
-def seed_diagnostics(config: ScenarioConfig) -> list[Diagnostic]:
-    """The diagnostics of config's seeds alone, as validate_config reports
-    them: a sweep derives its cells' seeds from them before any cell is
-    validated."""
-    schema = _Schema()
-    _parse_seeds(schema, config.seeds)
-    return schema.diags
+def parse_seeds(raw, prefix: str = "") -> tuple[dict | None, list[Diagnostic]]:
+    """A scenario's seeds, each one left out 0 (all of them for seeds: null),
+    and their diagnostics as validate_config reports them: a sweep derives its
+    cells' seeds from them before any cell is validated."""
+    schema = _Schema(prefix)
+    seeds = schema.mapping("seeds", {} if raw is None else raw, _SEEDS)
+    if seeds is None:
+        return None, schema.diags
+    seeds = {**FIELDS["seeds"], **seeds}
+    for key in _SEEDS:
+        schema.count(f"seeds.{key}", seeds[key], 0)
+    return seeds, schema.diags
 
 
 def _parse_schedule(schema: _Schema, name: str, raw, n_pairs: int | None):
@@ -269,11 +270,14 @@ def _parse_schedule(schema: _Schema, name: str, raw, n_pairs: int | None):
     return schema.build(name, _schedule_from, sched, observed=sched)
 
 
-def _parse_protocol(schema: _Schema, config: ScenarioConfig) -> Scenario | None:
-    """A quantum-protocol mode: species, parties, schedules and channel."""
+def _parse_protocol(schema: _Schema, config: dict) -> Scenario | None:
+    """A quantum-protocol mode: species, parties, schedules and channel. The
+    derived fields (bob_phase and a drawn delta, send_time, bob_schedule,
+    the time-origin tones) are written into config."""
     to_cfg = None
-    if config.mode == "time_origin":
-        to = schema.mapping("time_origin", config.time_origin, _TIME_ORIGIN)
+    mode = config["mode"]
+    if mode == "time_origin":
+        to = schema.mapping("time_origin", config["time_origin"], _TIME_ORIGIN)
         values = [None] if to is None else [
             schema.number(f"time_origin.{k}", to.get(k)) for k in _TIME_ORIGIN]
         if None not in values:
@@ -282,83 +286,92 @@ def _parse_protocol(schema: _Schema, config: ScenarioConfig) -> Scenario | None:
                  "protocol_duration_T": "time_origin.duration_T", None: "time_origin"},
                 TimeOriginConfig, *values, observed=to)
     else:
-        want = 2 if config.mode == "two_frequency" else 1
-        listed = config.species if isinstance(config.species, list) else []
-        if len(listed) != want or listed is not config.species:
-            schema.error("species", f"a list of exactly {want} species for mode {config.mode}",
-                         config.species)
+        want = 2 if mode == "two_frequency" else 1
+        listed = config["species"] if isinstance(config["species"], list) else []
+        if len(listed) != want or listed is not config["species"]:
+            schema.error("species", f"a list of exactly {want} species for mode {mode}",
+                         config["species"])
         for i, sp in enumerate(listed):
             if schema.mapping(f"species[{i}]", sp, ("name", "omega")) is not None:
                 schema.number(f"species[{i}].omega", sp.get("omega"))
     for key in ("eta", "alice_phase", "alice_clock_offset", "bob_clock_offset",
                 "collapse_time", "bob_phase", "send_time"):
-        value = getattr(config, key)
-        if value is not None or key not in ("bob_phase", "send_time"):  # else derived
-            schema.number(key, value)
-    if config.delta not in (None, "random"):
-        schema.number("delta", config.delta, constraint="a finite number, 'random', or null")
+        if config[key] is not None or key not in ("bob_phase", "send_time"):  # else derived
+            schema.number(key, config[key])
+    delta = config["delta"]
+    if delta not in (None, "random"):
+        schema.number("delta", delta, constraint="a finite number, 'random', or null")
     # a pair's masks are indexed by numpy, whose lengths are at most intp's maximum
-    n_pairs = schema.count("n_pairs", config.n_pairs, 1, int(np.iinfo(np.intp).max))
-    alice_sched = _parse_schedule(schema, "schedule", config.schedule, n_pairs)
-    bob_sched = (alice_sched if config.bob_schedule is None  # Bob samples on Alice's grid
-                 else _parse_schedule(schema, "bob_schedule", config.bob_schedule, n_pairs))
-    channel = schema.build("channel", lambda: ChannelModel(**(config.channel or {})),
-                           observed=config.channel)
+    n_pairs = schema.count("n_pairs", config["n_pairs"], 1, int(np.iinfo(np.intp).max))
+    alice_sched = _parse_schedule(schema, "schedule", config["schedule"], n_pairs)
+    bob_field = "schedule" if config["bob_schedule"] is None else "bob_schedule"
+    bob_sched = (alice_sched if bob_field == "schedule"  # Bob samples on Alice's grid
+                 else _parse_schedule(schema, "bob_schedule", config["bob_schedule"], n_pairs))
+    channel = schema.build("channel", lambda: ChannelModel(**(config["channel"] or {})),
+                           observed=config["channel"])
     if channel is not None and channel.loss_probability >= 1.0:
         schema.error("channel.loss_probability", "< 1 (protocol will always abort)",
                      channel.loss_probability, "warning")
     if not schema.ok:
         return None
-    # of the derived fields only bob_phase = alice_phase - delta can fail (overflow)
-    resolved = schema.build("delta", resolve_config, config, observed=config.delta)
-    if resolved is None:
-        return None
-    if config.delta is not None and config.bob_phase is not None:
+    if config["bob_phase"] is None:  # derived: bob_phase = alice_phase - delta
+        if delta == "random":  # drawn from its own seed
+            delta = float(np.random.default_rng(int(config["seeds"]["delta"])).uniform(
+                0.0, TWO_PI))
+        delta = 0.0 if delta is None else float(delta)
+        config["bob_phase"] = schema.build("delta", normalize_phase, config["alice_phase"] - delta,
+                                           observed=config["delta"])  # fails on overflow
+        config["delta"] = delta
+    elif delta is not None:
         # both are given in an echoed config, and must agree; a drawn delta cannot
-        implied = resolved.alice_phase - resolved.delta
-        if config.delta == "random" or not (math.isfinite(implied) and abs(
-                normalize_phase(implied) - normalize_phase(resolved.bob_phase)) <= 1e-9):
+        implied = math.nan if delta == "random" else config["alice_phase"] - delta
+        if not (math.isfinite(implied) and abs(
+                normalize_phase(implied) - normalize_phase(config["bob_phase"])) <= 1e-9):
             schema.error("delta", "a number that agrees with bob_phase, when both are given",
-                         {"delta": config.delta, "bob_phase": config.bob_phase})
+                         {"delta": delta, "bob_phase": config["bob_phase"]})
 
+    if to_cfg:
+        config["species"] = [{"name": "tone1", "omega": to_cfg.omega1},
+                             {"name": "tone2", "omega": to_cfg.omega2}]
     species = []
-    for i, sp in enumerate(resolved.species):  # time_origin: the tones resolve_config derives
+    for i, sp in enumerate(config["species"]):
         fields = "time_origin" if to_cfg else {"name": f"species[{i}].name",
                                                 "omega": f"species[{i}].omega"}
         species.append(schema.build(fields, ClockSpecies, sp.get("name"), float(sp["omega"]),
                                     observed=sp))
     if not schema.ok:
         return None
-    names = [sp.name for sp in species]
-    alice = PartyConfig("A", {n: resolved.alice_phase for n in names},
-                        resolved.alice_clock_offset)
-    bob = PartyConfig("B", {n: resolved.bob_phase for n in names}, resolved.bob_clock_offset)
+    alice = PartyConfig("A", config["alice_phase"], config["alice_clock_offset"])
+    bob = PartyConfig("B", config["bob_phase"], config["bob_clock_offset"])
+    if config["send_time"] is None:
+        config["send_time"] = config["collapse_time"]
     schedules = schema.build(
         {"send_time": "send_time", "collapse_time": "collapse_time"}, ProtocolSchedules,
-        alice_sched, bob_sched, float(resolved.collapse_time), float(resolved.send_time),
-        observed={"collapse_time": resolved.collapse_time, "send_time": resolved.send_time})
+        alice_sched, bob_sched, float(config["collapse_time"]), float(config["send_time"]),
+        observed={"collapse_time": config["collapse_time"], "send_time": config["send_time"]})
     if len(species) == 2:
         schema.build("time_origin" if to_cfg else "species", check_distinct_species,
                      *species, observed=[sp.omega for sp in species])
-    bob_field = "schedule" if config.bob_schedule is None else "bob_schedule"
     for name, sched, party in (("schedule", alice_sched, alice), (bob_field, bob_sched, bob)):
         # the local times that the party's fits get, as the run computes them
         local = [party.to_local(party.to_global(t)) for t in sched.times]
         fields = {"n_points": f"{name}.n_points", None: name}
-        schema.build(fields, check_phase_grid, local, observed=getattr(config, name))
+        schema.build(fields, check_phase_grid, local, observed=config[name])
         if len(species) == 2:
             schema.build(fields, check_envelope_grid, local, species[0].omega,
-                         species[1].omega, observed=getattr(config, name))
+                         species[1].omega, observed=config[name])
     t_max = math.pi / to_cfg.delta_omega if to_cfg else 0.0
     if not schema.diags and bob_sched.times[-1] < t_max:
         schema.error("schedule.stop", "should bracket the first envelope maximum pi/delta_omega",
                      {"stop": bob_sched.times[-1], "t_max": t_max}, "warning")
-    return Scenario(resolved, species, alice, bob, schedules, channel, to_cfg)
+    if config["bob_schedule"] is None:
+        config["bob_schedule"] = dict(config["schedule"])
+    return Scenario(config, species, alice, bob, schedules, channel, to_cfg)
 
 
-def _parse_baseline(schema: _Schema, config: ScenarioConfig) -> Scenario | None:
+def _parse_baseline(schema: _Schema, config: dict) -> Scenario | None:
     """A baseline sweep: the medium grid and each grid point's QCS cell."""
-    base = schema.mapping("baseline", config.baseline or {}, _BASELINE)
+    base = schema.mapping("baseline", config["baseline"] or {}, _BASELINE)
     if base is None:
         return None
     grids = {}
@@ -381,7 +394,7 @@ def _parse_baseline(schema: _Schema, config: ScenarioConfig) -> Scenario | None:
                           observed={"distance": distance, "mean_index": mean_index,
                                     "sigma": sigma})
              for sigma in grids["sigma_grid"] for distance in grids["distance_grid"]]
-    cell = _parse_qcs_cell(schema, base.get("qcs_scenario") or _default_qcs_cell(config))
+    cell = _parse_qcs_cell(schema, base.get("qcs_scenario") or _DEFAULT_QCS_CELL)
     if not schema.ok:
         return None
     grid = [(medium, schema.build(
@@ -389,8 +402,7 @@ def _parse_baseline(schema: _Schema, config: ScenarioConfig) -> Scenario | None:
         observed={"distance": medium.distance, "sigma": medium.index_fluctuation_sigma},
         rule="Bob's QCS schedule shifted by distance * (mean_index + 10 * sigma) / c "
              "must stay finite and strictly increasing")) for medium in media]
-    return Scenario(resolve_config(config), grid=grid, n_trials=n_trials,
-                    n_qcs_seeds=n_qcs_seeds)
+    return Scenario(config, grid=grid, n_trials=n_trials, n_qcs_seeds=n_qcs_seeds)
 
 
 def _parse_qcs_cell(schema: _Schema, raw) -> Scenario | None:
@@ -399,56 +411,27 @@ def _parse_qcs_cell(schema: _Schema, raw) -> Scenario | None:
     name = "baseline.qcs_scenario"
     if not isinstance(raw, dict):
         return schema.error(name, "a single_frequency scenario mapping", raw)
-    cell = schema.build(name, ScenarioConfig.from_dict, raw, observed=raw)
-    if cell is not None and cell.mode != "single_frequency":
-        schema.error(f"{name}.mode", "single_frequency", cell.mode)
+    if raw.get("mode") != "single_frequency":
+        schema.error(f"{name}.mode", "single_frequency", raw.get("mode"))
     for key in ("channel", "bob_schedule"):  # _qcs_cell replaces both, per medium
         if raw.get(key) is not None:
             schema.error(f"{name}.{key}", "left out: each grid cell derives it from the medium",
                          raw[key])
     if not schema.ok:
         return None
-    scenario, diags = parse_config(cell, f"{name}.")
+    scenario, diags = parse_config(raw, f"{name}.")
     schema.diags.extend(diags)
     return scenario
 
 
-def _time_origin_species_dicts(to: dict) -> list[dict]:
-    return [
-        {"name": "tone1", "omega": float(to["omega1"])},
-        {"name": "tone2", "omega": float(to["omega1"]) + float(to["delta_omega"])},
-    ]
-
-
-def resolve_config(config: ScenarioConfig) -> ScenarioConfig:
-    """Fill derived fields: random delta (own seed) and Bob's basis phase."""
-    resolved = ScenarioConfig.from_dict(config.to_dict())
-    if resolved.mode == "baseline_sweep":
-        return resolved
-    if resolved.mode == "time_origin":
-        resolved.species = _time_origin_species_dicts(resolved.time_origin)
-    if resolved.delta == "random":
-        rng = np.random.default_rng(int(resolved.seeds["delta"]))
-        resolved.delta = float(rng.uniform(0.0, TWO_PI))
-    if resolved.bob_phase is None:
-        delta = float(resolved.delta) if resolved.delta is not None else 0.0
-        resolved.bob_phase = normalize_phase(resolved.alice_phase - delta)
-        resolved.delta = delta
-    if resolved.send_time is None:
-        resolved.send_time = resolved.collapse_time
-    if resolved.bob_schedule is None:
-        resolved.bob_schedule = dict(resolved.schedule)
-    return resolved
-
-
-def _header(config: ScenarioConfig) -> str:
-    s = config.seeds
+def _header(config: dict) -> str:
+    s = config["seeds"]
     return (f"qclocksync {__version__} seeds: quantum={s['quantum']} "
             f"channel={s['channel']} delta={s['delta']}")
 
 
-def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> tuple[int, dict]:
-    """Validate, resolve, execute, and write artifacts.
+def run_scenario(config: dict, output_dir: str | None = None) -> tuple[int, dict]:
+    """Parse, execute, and write artifacts.
 
     Returns (exit_code, result_record). Exit codes: 0 success, 1 invalid
     config, 2 runtime error, 3 inconclusive/no-sync protocol outcome.
@@ -457,24 +440,21 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> tuple
     if scenario is None:
         return EXIT_INVALID_CONFIG, {"diagnostics": [d.to_dict() for d in diags]}
 
-    out_dir = output_dir or config.output_dir
+    resolved = scenario.config
+    out_dir = output_dir or resolved["output_dir"]
     if out_dir is None:
         return EXIT_INVALID_CONFIG, {"diagnostics": [
             Diagnostic("output_dir", "required (config field or CLI flag)", None).to_dict()
         ]}
     os.makedirs(out_dir, exist_ok=True)
 
-    resolved = scenario.config
     with open(os.path.join(out_dir, "config_echo.yaml"), "w") as fh:
         fh.write(f"# {_header(resolved)}\n")
-        yaml.safe_dump(resolved.to_dict(), fh, sort_keys=True)
+        yaml.safe_dump(resolved, fh, sort_keys=True)
 
     try:
-        if resolved.mode == "baseline_sweep":
-            record = _run_baseline_sweep(scenario, out_dir)
-            status = "ok"
-        else:
-            record, status = _run_quantum_mode(scenario, out_dir)
+        run = _run_baseline_sweep if resolved["mode"] == "baseline_sweep" else _run_quantum_mode
+        record, status = run(scenario, out_dir)
     except Exception as exc:  # hard failure: distinct exit code from inconclusive
         record = {"error": f"{type(exc).__name__}: {exc}"}
         _write_result(out_dir, resolved, record)
@@ -486,67 +466,65 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> tuple
     return EXIT_OK, record
 
 
-def _write_result(out_dir: str, config: ScenarioConfig, record: dict) -> None:
-    payload = {"version": __version__, "seeds": config.seeds, "result": record}
+def _write_result(out_dir: str, config: dict, record: dict) -> None:
+    payload = {"version": __version__, "seeds": config["seeds"], "result": record}
     with open(os.path.join(out_dir, "result.json"), "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def _write_series(out_dir: str, config: ScenarioConfig, result: SyncResult) -> None:
+def _write_series(out_dir: str, config: dict, result: SyncResult) -> None:
     header = _header(config)
     for name, out in sorted(result.species_outcomes.items()):
-        if out.alice_series is not None:
-            out.alice_series.to_csv(os.path.join(out_dir, f"series_alice_{name}.csv"),
-                                    header_comment=header)
-        if out.bob_series is not None:
-            out.bob_series.to_csv(os.path.join(out_dir, f"series_bob_{name}.csv"),
-                                  header_comment=header)
+        for party, series in (("alice", out.alice_series), ("bob", out.bob_series)):
+            if series is not None:
+                series.to_csv(os.path.join(out_dir, f"series_{party}_{name}.csv"),
+                              header_comment=header)
+
+
+def _run_protocol(scenario: Scenario, qrng: np.random.Generator, crng: np.random.Generator,
+                  transcript: Transcript | None = None) -> SyncResult:
+    """One run of a quantum-protocol scenario, scored against its hidden truth."""
+    config, species, alice, bob = scenario.config, scenario.species, scenario.alice, scenario.bob
+    ens = tuple(Ensemble(config["n_pairs"], sp, config["eta"]) for sp in species)
+    args = (alice, bob, scenario.channel, scenario.schedules, qrng, crng, transcript)
+    if config["mode"] == "single_frequency":
+        result = run_single_frequency(ens[0], *args)
+        score_single_frequency(result, alice, bob, species[0], config["eta"])
+    elif config["mode"] == "two_frequency":
+        result = run_two_frequency(ens, *args)
+        score_envelope(result, alice, bob, species[0].omega, species[1].omega)
+    else:  # time_origin
+        result = establish_time_origin(scenario.time_origin, ens, *args)
+        score_time_origin(result, alice, bob)
+    return result
 
 
 def _run_quantum_mode(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
-    config, species = scenario.config, scenario.species
-    alice, bob, schedules, channel = (scenario.alice, scenario.bob, scenario.schedules,
-                                      scenario.channel)
-    qrng = np.random.default_rng(int(config.seeds["quantum"]))
-    crng = np.random.default_rng(int(config.seeds["channel"]))
+    config = scenario.config
     transcript = Transcript()
-
-    if config.mode == "single_frequency":
-        ens = Ensemble(config.n_pairs, species[0], config.eta)
-        result = run_single_frequency(ens, alice, bob, channel, schedules,
-                                      qrng, crng, transcript)
-        score_single_frequency(result, alice, bob, species[0], config.eta)
-    elif config.mode == "two_frequency":
-        ens = tuple(Ensemble(config.n_pairs, sp, config.eta) for sp in species)
-        result = run_two_frequency(ens, alice, bob, channel, schedules,
-                                   qrng, crng, transcript)
-        score_envelope(result, alice, bob, species[0].omega, species[1].omega)
-    else:  # time_origin
-        ens = tuple(Ensemble(config.n_pairs, sp, config.eta) for sp in species)
-        result = establish_time_origin(scenario.time_origin, ens, alice, bob, channel, schedules,
-                                       qrng, crng, transcript)
-        score_time_origin(result, alice, bob)
+    result = _run_protocol(scenario, np.random.default_rng(int(config["seeds"]["quantum"])),
+                           np.random.default_rng(int(config["seeds"]["channel"])), transcript)
 
     with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
-        meta = {"kind": "meta", "version": __version__, "seeds": config.seeds}
+        meta = {"kind": "meta", "version": __version__, "seeds": config["seeds"]}
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
         fh.write(transcript.to_jsonl())
     _write_series(out_dir, config, result)
     return result.to_dict(), result.status
 
 
-def _run_baseline_sweep(scenario: Scenario, out_dir: str) -> dict:
+def _run_baseline_sweep(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
     """Grid sweep comparing Einstein-synchronization RMS error against the
     entanglement protocol's, with the classical channel driven by the same
     medium (delay = distance * n / c, jitter = distance * sigma / c)."""
     config, n_trials = scenario.config, scenario.n_trials
     rows = []
-    crng = np.random.default_rng(int(config.seeds["channel"]))
+    crng = np.random.default_rng(int(config["seeds"]["channel"]))
     for medium, cell in scenario.grid:
         rms_es = es_rms_error(medium, n_trials, crng)
-        rms_qcs = _qcs_rms(cell, scenario.n_qcs_seeds, int(config.seeds["quantum"]),
-                           int(config.seeds["channel"]))
+        rms_qcs = _qcs_rms(cell, scenario.n_qcs_seeds, int(config["seeds"]["quantum"]),
+                           int(config["seeds"]["channel"]))
         rows.append((medium.index_fluctuation_sigma, medium.distance, rms_es, rms_qcs,
                      n_trials))
 
@@ -558,18 +536,7 @@ def _run_baseline_sweep(scenario: Scenario, out_dir: str) -> dict:
             fh.write(f"{sigma!r},{distance!r},{rms_es!r},{rms_qcs!r},{n}\n")
     return {"n_cells": len(rows),
             "cells": [{"sigma": r[0], "distance": r[1], "rms_error_es": r[2],
-                       "rms_error_qcs": r[3], "n_trials": r[4]} for r in rows]}
-
-
-def _default_qcs_cell(config: ScenarioConfig) -> dict:
-    return {
-        "mode": "single_frequency",
-        "n_pairs": 20000,
-        "species": [{"name": "cs", "omega": 1.0}],
-        "delta": 0.0,
-        "schedule": {"start": 0.0, "stop": 6.0, "n_points": 10, "batch_size": 500},
-        "seeds": dict(config.seeds),
-    }
+                       "rms_error_qcs": r[3], "n_trials": r[4]} for r in rows]}, "ok"
 
 
 def _qcs_cell(cell: Scenario, medium: MediumModel) -> Scenario:
@@ -579,7 +546,7 @@ def _qcs_cell(cell: Scenario, medium: MediumModel) -> Scenario:
     base_delay = medium.distance * medium.mean_index / SPEED_OF_LIGHT
     jitter = medium.distance * medium.index_fluctuation_sigma / SPEED_OF_LIGHT
     margin = base_delay + 10.0 * jitter
-    sched = cell.config.schedule
+    sched = cell.config["schedule"]
     with np.errstate(all="ignore"):  # an infinite margin gives NaN times, rejected below
         bob = _schedule_from({**sched, "start": sched["start"] + margin,
                               "stop": sched["stop"] + margin})
@@ -591,16 +558,10 @@ def _qcs_cell(cell: Scenario, medium: MediumModel) -> Scenario:
 
 def _qcs_rms(cell: Scenario, n_seeds: int, quantum_seed: int, channel_seed: int) -> float:
     """RMS entanglement-protocol sync error of one QCS cell across quantum seeds."""
-    species, config = cell.species[0], cell.config
     errs = []
-    children = np.random.SeedSequence(quantum_seed).spawn(n_seeds)
-    for i in range(n_seeds):
-        qrng = np.random.default_rng(children[i])
+    for child in np.random.SeedSequence(quantum_seed).spawn(n_seeds):
         crng = np.random.default_rng(np.random.SeedSequence(channel_seed).spawn(1)[0])
-        ens = Ensemble(config.n_pairs, species, config.eta)
-        result = run_single_frequency(ens, cell.alice, cell.bob, cell.channel, cell.schedules,
-                                      qrng, crng)
-        score_single_frequency(result, cell.alice, cell.bob, species, config.eta)
+        result = _run_protocol(cell, np.random.default_rng(child), crng)
         if result.sync_error is not None:
             errs.append(result.sync_error)
     if not errs:

@@ -45,27 +45,23 @@ from .quantum import ClockSpecies, circular_difference, normalize_phase
 class PartyConfig:
     """One party's local configuration.
 
-    basis_phase_per_species maps species name -> equatorial phase of that
-    party's |pos> choice. Within one party the settings are locked at
-    configuration time; the inter-party difference of the locks is the
-    (unknown) offset the two-frequency protocol is immune to.
+    basis_phase is the equatorial phase of that party's |pos> choice, one
+    for every species: the beat envelope's phase carries half the difference
+    of the two species' offsets, so it is immune to the (unknown) inter-party
+    offset only when both species share it. The phase is locked at
+    configuration time.
     local_clock_offset is hidden truth: the party's clock reads
     global time + offset. Only the scoring helpers may look at it.
     """
 
     party_id: str  # 'A' or 'B'
-    basis_phase_per_species: dict[str, float]
+    basis_phase: float
     local_clock_offset: float = 0.0
 
     def __post_init__(self):
         if self.party_id not in ("A", "B"):
             raise ValueError("party_id must be 'A' or 'B'")
-        self.basis_phase_per_species = {
-            k: normalize_phase(v) for k, v in self.basis_phase_per_species.items()
-        }
-
-    def phase_for(self, species: ClockSpecies) -> float:
-        return self.basis_phase_per_species[species.name]
+        self.basis_phase = normalize_phase(self.basis_phase)
 
     def to_global(self, local_time: float) -> float:
         return local_time - self.local_clock_offset
@@ -296,8 +292,6 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     local timestamps; a fit that cannot be made leaves the run inconclusive.
     """
     species = ensemble.species
-    phi_a = alice.phase_for(species)
-    phi_b = bob.phase_for(species)
 
     events = sorted(
         [_event(alice.to_global(schedules.collapse_time), "collapse"),
@@ -319,7 +313,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
         t, _priority, kind, payload = events[pos]
         pos += 1
         if kind == "collapse":
-            type_i_labels = alice_collapse_all(ensemble, t, phi_a, quantum_rng)
+            type_i_labels = alice_collapse_all(ensemble, t, alice.basis_phase, quantum_rng)
             outcome.n_type_i = int(type_i_labels.shape[0])
             outcome.n_type_ii = ensemble.n_pairs - outcome.n_type_i
             alice_handle = select_subensemble(ensemble, type_i_labels)
@@ -344,7 +338,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
         elif kind == "alice_sample":
             try:
                 n_pos, n = sample_batch(alice_handle, t, schedules.alice.batch_size,
-                                        "A", phi_a, quantum_rng)
+                                        "A", alice.basis_phase, quantum_rng)
             except BudgetError:
                 budget_hit = True
                 continue
@@ -360,7 +354,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
                 continue
             try:
                 n_pos, n = sample_batch(bob_handle, t, schedules.bob.batch_size,
-                                        "B", phi_b, quantum_rng)
+                                        "B", bob.basis_phase, quantum_rng)
             except BudgetError:
                 budget_hit = True
                 continue
@@ -503,10 +497,9 @@ def establish_time_origin(config: TimeOriginConfig, ensembles: tuple[Ensemble, E
 # logic; sync_error is only ever attached to a completed ('ok') run.
 # --------------------------------------------------------------------------
 
-def configured_offset(alice: PartyConfig, bob: PartyConfig, species: ClockSpecies,
-                      eta: float = 0.0) -> float:
+def configured_offset(alice: PartyConfig, bob: PartyConfig, eta: float = 0.0) -> float:
     """Effective oscillation offset delta seen by Bob, from the hidden configs."""
-    return normalize_phase(alice.phase_for(species) - bob.phase_for(species) - eta)
+    return normalize_phase(alice.basis_phase - bob.basis_phase - eta)
 
 
 def score_single_frequency(result: SyncResult, alice: PartyConfig, bob: PartyConfig,
@@ -518,7 +511,7 @@ def score_single_frequency(result: SyncResult, alice: PartyConfig, bob: PartyCon
     out = result.species_outcomes[species.name]
     observed = out.bob_phase.phase - out.alice_phase.phase
     clock_gap = bob.local_clock_offset - alice.local_clock_offset
-    expected = configured_offset(alice, bob, species, eta) - species.omega * clock_gap
+    expected = configured_offset(alice, bob, eta) - species.omega * clock_gap
     result.sync_error = circular_difference(observed, expected) / species.omega
     return result
 

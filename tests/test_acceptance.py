@@ -111,8 +111,8 @@ def _single_frequency_runs(delta: float, n_seeds: int):
     times = tuple(np.linspace(0.05, 0.05 + period, 20))
     schedules = ProtocolSchedules(alice=SamplingSchedule(times, 10_000),
                                   bob=SamplingSchedule(times, 10_000))
-    alice = PartyConfig("A", {"cs": 0.9})
-    bob = PartyConfig("B", {"cs": 0.9 - delta})
+    alice = PartyConfig("A", 0.9)
+    bob = PartyConfig("B", 0.9 - delta)
     channel = ChannelModel()
     outcomes = []
     for seed in range(n_seeds):
@@ -153,8 +153,8 @@ TF_SPECIES = (ClockSpecies("tone1", 2.0), ClockSpecies("tone2", 2.2))
 
 
 def _two_frequency_run(delta: float, quantum_seed: int):
-    alice = PartyConfig("A", {"tone1": 0.9, "tone2": 0.9})
-    bob = PartyConfig("B", {"tone1": 0.9 - delta, "tone2": 0.9 - delta})
+    alice = PartyConfig("A", 0.9)
+    bob = PartyConfig("B", 0.9 - delta)
     ensembles = tuple(Ensemble(80_000, s) for s in TF_SPECIES)
     times = tuple(np.linspace(0.05, 20.0, 120))
     schedules = ProtocolSchedules(alice=SamplingSchedule(times, 300),
@@ -208,8 +208,8 @@ def test_06_time_origin():
 
     # full noisy protocol agreement between the parties
     cfg = TimeOriginConfig(omega1=2.0, delta_omega=0.2, protocol_duration_T=7.0)
-    alice = PartyConfig("A", {"tone1": 0.9, "tone2": 0.9})
-    bob = PartyConfig("B", {"tone1": 0.4, "tone2": 0.4})
+    alice = PartyConfig("A", 0.9)
+    bob = PartyConfig("B", 0.4)
     grid = tuple(np.linspace(0.05, 20.0, 120))
     schedules = ProtocolSchedules(alice=SamplingSchedule(grid, 300),
                                   bob=SamplingSchedule(grid, 300))
@@ -241,8 +241,8 @@ def _channel_run(channel: ChannelModel, quantum_seed: int):
     bob_times = tuple(t + 2e6 for t in times)
     schedules = ProtocolSchedules(alice=SamplingSchedule(times, 400),
                                   bob=SamplingSchedule(bob_times, 400))
-    alice = PartyConfig("A", {"cs": 0.9})
-    bob = PartyConfig("B", {"cs": 0.2})
+    alice = PartyConfig("A", 0.9)
+    bob = PartyConfig("B", 0.2)
     ens = Ensemble(12_000, species)
     result = run_single_frequency(ens, alice, bob, channel, schedules,
                                   np.random.default_rng(quantum_seed),
@@ -279,8 +279,8 @@ def test_07_channel_independence():
         bob_times = tuple(t + delay + 10 * jitter + 1.0 for t in times)
         schedules = ProtocolSchedules(alice=SamplingSchedule(times, 400),
                                       bob=SamplingSchedule(bob_times, 400))
-        alice = PartyConfig("A", {"cs": 0.9})
-        bob = PartyConfig("B", {"cs": 0.2})
+        alice = PartyConfig("A", 0.9)
+        bob = PartyConfig("B", 0.2)
         errs = []
         for seed in range(50):
             ens = Ensemble(12_000, species)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclocksync.cli import main
-from qclocksync.config import load_config, resolve_config, validate_config
+from qclocksync.config import load_config, parse_config, validate_config
 
 BASE = {
     "mode": "single_frequency",
@@ -152,6 +152,10 @@ class TestValidate:
         ({"n_pairs": 2**63}, "n_pairs"),
         # Alice's local times round to one value: her phase fit had no 3 distinct times
         ({"alice_clock_offset": 2.0**70}, "schedule.n_points"),
+        # the scenario's own fields: an unknown key, seeds and mode
+        ({"n_pair": 5}, "n_pair"),
+        ({"seeds": 5}, "seeds"),
+        ({"mode": None}, "mode"),
         # unknown keys inside nested mappings
         ({"seeds": {"quantm": 9, "channel": 6}}, "seeds.quantm"),
         ({"schedule": {**BASE["schedule"], "step": 0.1}}, "schedule.step"),
@@ -168,7 +172,8 @@ class TestValidate:
             "unresolved-fast-oscillation", "too-few-envelope-points",
             "unresolved-bob-schedule", "indistinct-schedule-times",
             "delta-disagrees-with-bob-phase", "huge-float-n-pairs", "n-pairs-beyond-intp",
-            "offset-collapses-local-times", "unknown-seed",
+            "offset-collapses-local-times", "unknown-top-level-key", "non-mapping-seeds",
+            "null-mode", "unknown-seed",
             "unknown-schedule-key", "unknown-bob-schedule-key", "unknown-species-key",
             "unknown-time-origin-key", "unknown-baseline-key"])
     def test_malformed_scenario_exits_1(self, tmp_path, capsys, overrides, field):
@@ -179,6 +184,7 @@ class TestValidate:
         assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
         report = json.loads(capsys.readouterr().out)
         assert [d["field"] for d in report["diagnostics"]] == [field]
+        assert not (tmp_path / "out").exists()
 
     # spacings within a few ulps of pi/(omega1 + omega2): validate rejects
     # exactly the schedules whose envelope fit would fail (run exit 2)
@@ -203,6 +209,18 @@ class TestValidate:
     def test_unknown_field_rejected(self, tmp_path, capsys):
         path = _write(tmp_path, {"frobnicate": 1})
         assert main(["validate", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == ["frobnicate"]
+
+    def test_missing_mode_reported(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump({k: v for k, v in BASE.items() if k != "mode"}))
+        out = tmp_path / "out"
+        for argv in (["validate", str(path)], ["run", str(path), "-o", str(out)]):
+            assert main(argv) == 1
+            report = json.loads(capsys.readouterr().out)
+            assert [d["field"] for d in report["diagnostics"]] == ["mode"]
+        assert not out.exists()
 
     def test_unparseable_yaml_rejected(self, tmp_path):
         path = tmp_path / "broken.yaml"
@@ -252,10 +270,9 @@ class TestRun:
         out1 = tmp_path / "o1"
         assert main(["run", path, "-o", str(out1)]) == 0
         echoed = load_config(out1 / "config_echo.yaml")
-        echoed.output_dir = None
+        echoed["output_dir"] = None
         out2 = tmp_path / "o2"
-        assert main(["run", _write(tmp_path, echoed.to_dict(), "echo.yaml"),
-                     "-o", str(out2)]) == 0
+        assert main(["run", _write(tmp_path, echoed, "echo.yaml"), "-o", str(out2)]) == 0
         assert _read_artifacts(out1) == _read_artifacts(out2)
 
     def test_unfittable_phase_is_inconclusive(self, tmp_path, capsys):
@@ -296,12 +313,11 @@ class TestRun:
         out1 = tmp_path / "o1"
         assert main(["run", path, "-o", str(out1)]) == 0
         echoed = load_config(out1 / "config_echo.yaml")
-        assert isinstance(echoed.delta, float)
+        assert isinstance(echoed["delta"], float)
         assert validate_config(echoed) == []
-        echoed.output_dir = None
+        echoed["output_dir"] = None
         out2 = tmp_path / "o2"
-        assert main(["run", _write(tmp_path, echoed.to_dict(), "echo.yaml"),
-                     "-o", str(out2)]) == 0
+        assert main(["run", _write(tmp_path, echoed, "echo.yaml"), "-o", str(out2)]) == 0
         assert _read_artifacts(out1)["result.json"] == _read_artifacts(out2)["result.json"]
 
     def test_no_sync_exits_3(self, tmp_path, capsys):
@@ -316,11 +332,12 @@ class TestRun:
         cfg = load_config(_write(tmp_path, {"delta": "random",
                                             "seeds": {"quantum": 5, "channel": 6,
                                                       "delta": 77}}))
-        r1 = resolve_config(cfg)
-        r2 = resolve_config(cfg)
-        assert isinstance(r1.delta, float)
-        assert r1.delta == r2.delta
-        assert r1.bob_phase == pytest.approx((r1.alice_phase - r1.delta) % (2 * 3.141592653589793), abs=1e-9)
+        r1 = parse_config(cfg)[0].config
+        r2 = parse_config(cfg)[0].config
+        assert isinstance(r1["delta"], float)
+        assert r1["delta"] == r2["delta"]
+        assert r1["bob_phase"] == pytest.approx(
+            (r1["alice_phase"] - r1["delta"]) % (2 * 3.141592653589793), abs=1e-9)
 
 
 class TestTimeOriginMode:
@@ -411,7 +428,7 @@ class TestBaselineMode:
         ({"mode": "single_frequency", "n_pairs": 100},
          ["baseline.qcs_scenario.species", "baseline.qcs_scenario.schedule"]),
         ({"mode": "time_origin"}, ["baseline.qcs_scenario.mode"]),
-        ({"n_pairs": 100}, ["baseline.qcs_scenario"]),
+        ({"n_pairs": 100}, ["baseline.qcs_scenario.mode"]),
         ([1], ["baseline.qcs_scenario"]),
         ({**QCS_CELL, "channel": {"loss_probability": 1.0}}, ["baseline.qcs_scenario.channel"]),
         ({**QCS_CELL, "bob_schedule": QCS_CELL["schedule"]},
@@ -478,7 +495,7 @@ class TestSweep:
                      "--param", "species.0.omega", "--values", "[1.0, 3.0]"]) == 0
         for i, omega in enumerate((1.0, 3.0)):
             echo = load_config(out / f"cell_{i:03d}" / "config_echo.yaml")
-            assert echo.species == [{"name": "cs", "omega": omega}]
+            assert echo["species"] == [{"name": "cs", "omega": omega}]
 
     @pytest.mark.parametrize("param", ["species.1.omega", "species.x.omega", "n_pairs.x",
                                        "frobnicate", "bob_schedule.start"])
@@ -500,6 +517,25 @@ class TestSweep:
         assert json.loads(capsys.readouterr().out) == expected
         assert not out.exists()
 
+    # each cell's quantum and channel seeds are derived from the base seeds,
+    # so sweeping them would be ignored; the delta seed sweeps
+    @pytest.mark.parametrize("param", ["seeds", "seeds.quantum", "seeds.channel"])
+    def test_sweep_rejects_derived_seeds(self, tmp_path, capsys, param):
+        out = tmp_path / "s"
+        assert main(["sweep", _write(tmp_path), "-o", str(out),
+                     "--param", param, "--values", "[1, 2]"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [d["field"] for d in report["diagnostics"]] == ["--param"]
+        assert not out.exists()
+
+    def test_sweep_over_delta_seed(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sweep", _write(tmp_path, {"delta": "random"}), "-o", str(out),
+                     "--param", "seeds.delta", "--values", "[1, 2]"]) == 0
+        echoes = [load_config(out / f"cell_{i:03d}" / "config_echo.yaml") for i in (0, 1)]
+        assert [echo["seeds"]["delta"] for echo in echoes] == [1, 2]
+        assert echoes[0]["delta"] != echoes[1]["delta"]
+
     def test_sweep_rejects_bad_values(self, tmp_path):
         path = _write(tmp_path)
         assert main(["sweep", path, "-o", str(tmp_path / "s"),
@@ -508,7 +544,7 @@ class TestSweep:
                      "--param", "delta", "--values", "[]"]) == 1
 
 
-# The README example, scaled down from 1M pairs to 20,000
+# The README example, scaled down from 1M pairs to 20,000 (batches of 200)
 README_SCENARIO = {
     "mode": "single_frequency",
     "n_pairs": 20_000,
@@ -520,6 +556,26 @@ README_SCENARIO = {
     "channel": {"base_delay": 0.0, "jitter_sigma": 0.0, "loss_probability": 0.0},
     "seeds": {"quantum": 1, "channel": 2, "delta": 3},
 }
+
+
+def _readme_example():
+    """The first yaml block of README.md, as a mapping."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        return yaml.safe_load(fh.read().split("```yaml\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_example_validates_and_is_the_property_base(tmp_path, capsys):
+    example = _readme_example()
+    path = tmp_path / "readme.yaml"
+    path.write_text(yaml.safe_dump(example))
+    assert main(["validate", str(path)]) == 0
+    # the scaled-down fields aside, the hypothesis property mutates this example
+    scaled = copy.deepcopy(README_SCENARIO)
+    for scenario in (example, scaled):
+        scenario.pop("n_pairs")
+        scenario.pop("output_dir", None)
+        scenario["schedule"].pop("batch_size")
+    assert example == scaled
 
 
 def _paths(node, prefix=()):

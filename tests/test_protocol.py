@@ -31,9 +31,9 @@ CS = ClockSpecies("cs", 2.0)
 IDEAL = ChannelModel()
 
 
-def _parties(delta=0.0, offset_a=0.0, offset_b=0.0, species=("cs",)):
-    alice = PartyConfig("A", {s: 0.9 for s in species}, local_clock_offset=offset_a)
-    bob = PartyConfig("B", {s: 0.9 - delta for s in species}, local_clock_offset=offset_b)
+def _parties(delta=0.0, offset_a=0.0, offset_b=0.0):
+    alice = PartyConfig("A", 0.9, local_clock_offset=offset_a)
+    bob = PartyConfig("B", 0.9 - delta, local_clock_offset=offset_b)
     return alice, bob
 
 
@@ -348,8 +348,8 @@ class TestLabelPath:
     def test_fixed_seed_time_origin_run_is_pinned(self):
         # Both species draw from one quantum stream and write one transcript;
         # values taken before the event loop and the pair state were rewritten.
-        alice = PartyConfig("A", {"tone1": 0.9, "tone2": 0.9})
-        bob = PartyConfig("B", {"tone1": 0.5, "tone2": 0.5})
+        alice = PartyConfig("A", 0.9)
+        bob = PartyConfig("B", 0.5)
         ensembles = (Ensemble(20_000, ClockSpecies("tone1", 2.0)),
                      Ensemble(20_000, ClockSpecies("tone2", 2.2)))
         times = tuple(np.linspace(0.05, 20.0, 60))
@@ -373,10 +373,8 @@ TF_SPECIES = (ClockSpecies("tone1", 2.0), ClockSpecies("tone2", 2.2))
 
 def _two_freq_setup(delta=0.0, offset_a=0.0, offset_b=0.0, n_pairs=80_000,
                     stop=20.0, n_points=120, batch=300):
-    alice = PartyConfig("A", {"tone1": 0.9, "tone2": 0.9},
-                        local_clock_offset=offset_a)
-    bob = PartyConfig("B", {"tone1": 0.9 - delta, "tone2": 0.9 - delta},
-                      local_clock_offset=offset_b)
+    alice = PartyConfig("A", 0.9, local_clock_offset=offset_a)
+    bob = PartyConfig("B", 0.9 - delta, local_clock_offset=offset_b)
     ensembles = tuple(Ensemble(n_pairs, s) for s in TF_SPECIES)
     times = tuple(np.linspace(0.05, stop, n_points))
     schedules = ProtocolSchedules(alice=SamplingSchedule(times, batch),
@@ -539,12 +537,12 @@ class TestFitFailures:
 class TestConfigObjects:
     def test_party_validation(self):
         with pytest.raises(ValueError):
-            PartyConfig("C", {"cs": 0.0})
-        p = PartyConfig("A", {"cs": -0.5})
-        assert p.phase_for(CS) == pytest.approx(2 * math.pi - 0.5)
+            PartyConfig("C", 0.0)
+        p = PartyConfig("A", -0.5)
+        assert p.basis_phase == pytest.approx(2 * math.pi - 0.5)
 
     def test_local_global_round_trip(self):
-        p = PartyConfig("B", {"cs": 0.0}, local_clock_offset=3.25)
+        p = PartyConfig("B", 0.0, local_clock_offset=3.25)
         assert p.to_local(p.to_global(10.0)) == 10.0
         assert p.to_local(0.0) == 3.25
 
@@ -558,5 +556,5 @@ class TestConfigObjects:
 
     def test_configured_offset(self):
         alice, bob = _parties(delta=0.7)
-        assert configured_offset(alice, bob, CS) == pytest.approx(0.7)
-        assert configured_offset(alice, bob, CS, eta=0.2) == pytest.approx(0.5)
+        assert configured_offset(alice, bob) == pytest.approx(0.7)
+        assert configured_offset(alice, bob, eta=0.2) == pytest.approx(0.5)

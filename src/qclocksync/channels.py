@@ -63,7 +63,7 @@ class MediumModel:
 
     def __post_init__(self):
         # NaN and inf fail too: es_rms_error's np.maximum would pass a NaN
-        # index on, where einstein_sync's max(1.0, nan) gives 1.0
+        # index on, where a per-trial max(1.0, nan) gives 1.0
         if not (self.distance > 0.0 and math.isfinite(self.distance)):
             raise blame(ValueError("distance must be a finite number > 0"), "distance")
         if not (self.mean_index >= 1.0 and math.isfinite(self.mean_index)):
@@ -74,34 +74,17 @@ class MediumModel:
                         "index_fluctuation_sigma")
 
 
-def einstein_sync(medium: MediumModel, rng: np.random.Generator,
-                  true_offset: float = 0.0) -> float:
-    """Error of one round-trip Einstein-synchronization exchange through the
-    medium: the estimated offset minus true_offset.
-
-    Each leg's refractive index is an independent Gaussian draw (floored at
-    vacuum); Bob's offset estimate uses the standard midpoint rule, so the
-    error is the index asymmetry between the two legs.
-    """
-    n_fwd = max(1.0, medium.mean_index + rng.standard_normal() * medium.index_fluctuation_sigma)
-    n_back = max(1.0, medium.mean_index + rng.standard_normal() * medium.index_fluctuation_sigma)
-    t_fwd = medium.distance * n_fwd / SPEED_OF_LIGHT
-    t_back = medium.distance * n_back / SPEED_OF_LIGHT
-    # Bob timestamps the pulse arrival on his clock; Alice assumes the one-way
-    # time is half the measured round trip.
-    estimated = true_offset + (t_fwd - t_back) / 2.0
-    return estimated - true_offset
-
-
 def es_rms_error(medium: MediumModel, n_trials: int, rng: np.random.Generator,
                  true_offset: float = 0.0) -> float:
-    """RMS midpoint-rule error over n_trials independent exchanges.
+    """RMS midpoint-rule error over n_trials independent round-trip exchanges.
 
-    Array form of n_trials calls to einstein_sync: it draws the same normals
-    from rng (column 0 the forward leg, column 1 the return leg) and applies
-    the same IEEE operations in the same order, so the result and the state
-    rng is left in are bit-identical to the per-trial loop. The arithmetic
-    runs in place on the one draw buffer to keep the peak memory down.
+    Each leg's refractive index is a Gaussian draw floored at vacuum, so a
+    trial's error is the index asymmetry of its two legs. The trials run as
+    one array pass with the draws (column 0 the forward leg, column 1 the
+    return leg) and the IEEE operations of a per-trial loop, so the result and
+    rng's final state are that loop's bits; the tests keep the loop as an
+    oracle. The arithmetic runs in place on the one draw buffer to keep the
+    peak memory down.
     """
     legs = rng.standard_normal((n_trials, 2))
     legs *= medium.index_fluctuation_sigma
@@ -111,7 +94,7 @@ def es_rms_error(medium: MediumModel, n_trials: int, rng: np.random.Generator,
     legs /= SPEED_OF_LIGHT
     errs = legs[:, 0] - legs[:, 1]
     errs /= 2.0
-    # estimated_offset - true_offset, rounded as einstein_sync rounds it
+    # estimated_offset - true_offset, rounded as the per-trial loop rounds it
     errs += true_offset
     errs -= true_offset
     errs *= errs

@@ -85,8 +85,9 @@ def cmd_sweep(args) -> int:
         return _invalid("--values", "a non-empty JSON list", values)
 
     out_dir = args.output_dir or config.get("output_dir")
-    if out_dir is None:
-        return _invalid("output_dir", "required", None)
+    if not (isinstance(out_dir, str) and out_dir):
+        return _invalid("output_dir", "required: a non-empty string (config field or -o)",
+                        out_dir)
     seeds, diags = parse_seeds(config.get("seeds"))  # the cells' seeds derive from them
     if diags:
         return _report(diags)

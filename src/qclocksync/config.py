@@ -230,6 +230,9 @@ def parse_config(raw: dict,
         return None, schema.diags
     config["seeds"], diags = parse_seeds(config["seeds"], prefix)
     schema.diags.extend(diags)
+    output_dir = config["output_dir"]
+    if not (output_dir is None or isinstance(output_dir, str) and output_dir):
+        schema.error("output_dir", "a non-empty string (a directory path) or null", output_dir)
     parse = _parse_baseline if config["mode"] == "baseline_sweep" else _parse_protocol
     scenario = parse(schema, config)
     return (scenario if schema.ok else None), schema.diags

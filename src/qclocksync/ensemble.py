@@ -138,7 +138,9 @@ def alice_collapse_all(ensemble: Ensemble, t0: float, phi_a: float, rng: np.rand
     ensemble.t0 = float(t0)
     ensemble.collapse_phi = normalize_phase(phi_a)
     # label = index + 1, so the positions of the Type-I pairs are their labels
-    return np.flatnonzero(ensemble.type_i) + 1
+    labels = np.flatnonzero(type_i)
+    labels += 1  # in place: no second N/2-long temporary to page in
+    return labels
 
 
 class SubensembleHandle:

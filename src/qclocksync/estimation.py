@@ -5,12 +5,12 @@ so only phases are fitted. The single-tone fit is a weighted linear least
 squares in the (a, b, c) parametrization p(t) = a cos(w t) + b sin(w t) + c,
 which is convex and has no initialization sensitivity. The beat-envelope fit
 profiles the single nonlinear fast-phase parameter over a grid and polishes
-it with bounded scalar minimization; for each candidate fast phase the
-envelope parameters are an exact linear subproblem. The grid's chi2 values
-come in one closed-form array pass (_profile_chi2): expanding the fast
-factor in cos/sin of the fast phase turns every grid point's 2x2 normal
-equations into quadratic forms over one 4x4 Gram matrix. The polish and the
-final fit solve the subproblem directly (_weighted_lstsq).
+it with an in-tree bounded Brent minimization (_bounded_brent); for each
+candidate fast phase the envelope parameters are an exact linear subproblem.
+The grid's chi2 values come in one closed-form array pass (_profile_chi2):
+expanding the fast factor in cos/sin of the fast phase turns every grid
+point's 2x2 normal equations into quadratic forms over one 4x4 Gram matrix.
+The polish and the final fit solve the subproblem directly (_weighted_lstsq).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .ensemble import PopulationSeries
 from .errors import EstimationError, InconclusiveError, RankDeficientError, blame
@@ -116,6 +115,75 @@ def _profile_chi2(ce: np.ndarray, se: np.ndarray, wft: np.ndarray, y: np.ndarray
     return np.where(full_rank, yw @ yw - explained, math.inf)
 
 
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_SQRT_EPS = math.sqrt(2.2e-16)
+
+
+def _bounded_brent(f, a: float, b: float, xatol: float) -> float:
+    """Minimizer of f on [a, b] by Brent's bounded method: golden-section
+    steps, with parabolic steps through the three best points where those
+    are safe. It takes the steps of scipy's minimize_scalar(method="bounded")
+    one for one (scipy.optimize._optimize._minimize_scalar_bounded), so it
+    evaluates f at the same points and returns the same bits; at most 500
+    evaluations of f.
+    """
+    a, b = float(a), float(b)
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = ffulc = fnfc = f(xf)
+    num = 1
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:  # too close to a bound
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= 500:
+            break
+    return xf
+
+
 def check_phase_grid(times) -> None:
     """Raise RankDeficientError (param 'n_points') unless estimate_phase has
     the 3 distinct sample times it needs."""
@@ -193,10 +261,10 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
     w_e = |omega1 - omega2|/2 and w_f = (omega1 + omega2)/2. For fixed
     psi_fast the model is linear in (E sin psi_env, E cos psi_env), so
     psi_fast is profiled over a 96-point grid on [0, pi), all of whose chi2
-    values come from one closed-form array pass (_profile_chi2); bounded
-    scalar minimization then refines it between the best point's neighbours,
-    solving the subproblem directly. psi_env comes from the linear
-    subproblem at the optimum. The (psi_env, psi_fast) ->
+    values come from one closed-form array pass (_profile_chi2); a bounded
+    Brent minimization (_bounded_brent) then refines it between the best
+    point's neighbours, solving the subproblem directly. psi_env comes from
+    the linear subproblem at the optimum. The (psi_env, psi_fast) ->
     (psi_env + pi, psi_fast + pi) ambiguity is resolved on psi_env alone,
     which keeps the returned phase independent of any basis-phase offset
     hiding in psi_fast.
@@ -224,9 +292,7 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
     grid = np.linspace(0.0, math.pi, 97)[:-1]
     k = int(np.argmin(_profile_chi2(ce, se, w_f * t, beats.diff, w, grid)))
     step = grid[1] - grid[0]
-    res = minimize_scalar(chi2, bounds=(grid[k] - step, grid[k] + step), method="bounded",
-                          options={"xatol": 1e-12})
-    psi_fast = float(res.x)
+    psi_fast = _bounded_brent(chi2, grid[k] - step, grid[k] + step, xatol=1e-12)
     beta, _cov2, chi2_min = linear_fit(psi_fast)
     p_coef, q_coef = beta  # E sin(psi_env), E cos(psi_env)
     amp = math.hypot(p_coef, q_coef)

@@ -259,7 +259,12 @@ def complement_labels(type_i_bitmap: bytes, n_pairs: int) -> np.ndarray:
                          f"{n_pairs} labels need {n_bytes}")
     if n_pairs % 8 and payload[-1] & (0xFF >> (n_pairs % 8)):
         raise ValueError("label bitmap has padding bits set")
-    return np.flatnonzero(~np.unpackbits(payload, count=n_pairs).view(bool)) + 1
+    # in place, as in alice_collapse_all: no second N-long temporary to page in
+    clear = np.unpackbits(payload, count=n_pairs).view(bool)
+    np.logical_not(clear, out=clear)
+    labels = np.flatnonzero(clear)
+    labels += 1
+    return labels
 
 
 # Priority of simultaneous events: a collapse precedes the send and any

@@ -1,8 +1,10 @@
-"""Exact two-level / two-qubit quantum mechanics: the state-vector oracle.
+"""Exact two-level / two-qubit quantum mechanics: the state-vector oracle,
+and the one-exchange form of the Einstein-synchronization baseline.
 
 The simulator samples outcomes from closed forms (ensemble.pos_probability
 and the P = 1/2 collapse); the tests check those closed forms against this
-brute-force state-vector computation. Nothing here is used by a run.
+brute-force state-vector computation, and channels.es_rms_error against a
+loop of einstein_sync calls. Nothing here is used by a run.
 
 States are stored as complex amplitude vectors (length 2 or 4) and compared
 via fidelity |<a|b>|, never amplitude-wise: a physical state is a ray, not a
@@ -16,6 +18,7 @@ import math
 
 import numpy as np
 
+from qclocksync.channels import SPEED_OF_LIGHT, MediumModel
 from qclocksync.errors import QcsError
 from qclocksync.quantum import ClockSpecies, normalize_phase
 
@@ -197,3 +200,22 @@ def haar_random_unitary(rng: np.random.Generator) -> np.ndarray:
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def einstein_sync(medium: MediumModel, rng: np.random.Generator,
+                  true_offset: float = 0.0) -> float:
+    """Error of one round-trip Einstein-synchronization exchange through the
+    medium: the estimated offset minus true_offset.
+
+    Each leg's refractive index is an independent Gaussian draw (floored at
+    vacuum); Bob's offset estimate uses the standard midpoint rule, so the
+    error is the index asymmetry between the two legs.
+    """
+    n_fwd = max(1.0, medium.mean_index + rng.standard_normal() * medium.index_fluctuation_sigma)
+    n_back = max(1.0, medium.mean_index + rng.standard_normal() * medium.index_fluctuation_sigma)
+    t_fwd = medium.distance * n_fwd / SPEED_OF_LIGHT
+    t_back = medium.distance * n_back / SPEED_OF_LIGHT
+    # Bob timestamps the pulse arrival on his clock; Alice assumes the one-way
+    # time is half the measured round trip.
+    estimated = true_offset + (t_fwd - t_back) / 2.0
+    return estimated - true_offset

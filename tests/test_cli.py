@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -165,6 +167,9 @@ class TestValidate:
         ({"mode": "baseline_sweep", "baseline": {
             "sigma_grid": [1e-6], "distance_grid": [1e3], "n_trials": 10,
             "n_qcs_seed": 1}}, "baseline.n_qcs_seed"),
+        # no directory path: rejected even where -o would override it
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": ""}, "output_dir"),
     ], ids=["inf-delta", "nan-delta", "string-omega", "nan-omega", "string-species",
             "number-species", "nameless-species", "nan-bob-offset", "string-alice-phase",
             "string-eta", "negative-seed", "string-seed", "collapse-after-sample",
@@ -175,7 +180,8 @@ class TestValidate:
             "offset-collapses-local-times", "unknown-top-level-key", "non-mapping-seeds",
             "null-mode", "unknown-seed",
             "unknown-schedule-key", "unknown-bob-schedule-key", "unknown-species-key",
-            "unknown-time-origin-key", "unknown-baseline-key"])
+            "unknown-time-origin-key", "unknown-baseline-key", "number-output-dir",
+            "empty-output-dir"])
     def test_malformed_scenario_exits_1(self, tmp_path, capsys, overrides, field):
         path = _write(tmp_path, overrides)
         assert main(["validate", path]) == 1
@@ -290,6 +296,18 @@ class TestRun:
         out = tmp_path / "out"
         assert main(["run", path, "-o", str(out)]) == 1
         assert not out.exists()
+
+    # without -o, os.makedirs raised TypeError on these: exit 2
+    @pytest.mark.parametrize("value", [5, ""])
+    def test_bad_output_dir_exits_1(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)
+        path = _write(tmp_path, {"output_dir": value})
+        for argv in (["validate", path], ["run", path],
+                     ["sweep", path, "--param", "delta", "--values", "[0.1]"]):
+            assert main(argv) == 1
+            report = json.loads(capsys.readouterr().out)
+            assert [d["field"] for d in report["diagnostics"]] == ["output_dir"]
+        assert os.listdir(tmp_path) == ["scenario.yaml"]
 
     @pytest.mark.parametrize("value", ["abc", 12.5])
     def test_non_integer_n_pairs_exits_1(self, tmp_path, capsys, value):
@@ -638,3 +656,15 @@ class TestScenarioProperties:
             ran = main(["run", path, "-o", os.path.join(tmp, "out")])
         assert validated in (0, 1), scenario
         assert ran in ((0, 3) if validated == 0 else (1,)), scenario
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test dependency only: the run's one minimization is in-tree
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, qclocksync.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

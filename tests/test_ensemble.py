@@ -65,6 +65,19 @@ class TestLifecycle:
         with pytest.raises(ProtocolOrderError):
             alice_collapse_all(ens, 1.0, 0.0, np.random.default_rng(2))
 
+    # one uniform per pair, in label order: the mask, the labels and the
+    # generator's final state are those of one rng.random(N) call
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 24581])
+    def test_collapse_draws_one_uniform_per_pair(self, n):
+        rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+        ens = Ensemble(n, CS)
+        labels = alice_collapse_all(ens, 0.0, 0.0, rng)
+        mask = ref.random(n) < 0.5
+        np.testing.assert_array_equal(ens.type_i, mask)
+        np.testing.assert_array_equal(labels, np.flatnonzero(mask) + 1)
+        assert labels.dtype == np.int64
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     def test_collapse_is_deterministic_in_the_seed(self):
         _, a1, a2 = _collapsed(n=500, seed=42)
         _, b1, b2 = _collapsed(n=500, seed=42)

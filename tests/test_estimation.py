@@ -8,6 +8,7 @@ from qclocksync.errors import EstimationError, InconclusiveError, RankDeficientE
 from qclocksync.estimation import (
     BeatSeries,
     _beat_weights,
+    _bounded_brent,
     _profile_chi2,
     _weighted_lstsq,
     beat_difference,
@@ -280,6 +281,59 @@ class TestProfileGrid:
         assert np.all(np.isposinf(_per_point_chi2(beats, OMEGA1, OMEGA2)))
         with pytest.raises(RankDeficientError):
             envelope_phase(beats, OMEGA1, OMEGA2)
+
+
+def _polish_problem(beats, omega1, omega2):
+    """envelope_phase's polish: its chi2 closure and the bracket of +-1 grid
+    step around the grid's argmin."""
+    w_e, w_f = abs(omega1 - omega2) / 2.0, (omega1 + omega2) / 2.0
+    t, w = beats.times, _beat_weights(beats)
+    ce, se = np.cos(w_e * t), np.sin(w_e * t)
+
+    def chi2(psi_fast):
+        s = np.sin(w_f * t + psi_fast)
+        try:
+            return _weighted_lstsq(np.column_stack([ce * s, se * s]), beats.diff, w)[2]
+        except RankDeficientError:
+            return math.inf
+
+    k = int(np.argmin(_grid_chi2(beats, omega1, omega2)))
+    step = FAST_GRID[1] - FAST_GRID[0]
+    return chi2, FAST_GRID[k] - step, FAST_GRID[k] + step
+
+
+class TestBoundedBrent:
+    def _assert_same_as_scipy(self, f, a, b):
+        """_bounded_brent evaluates f at scipy's points and returns its bits."""
+        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+        ours, theirs = [], []
+        x = _bounded_brent(lambda v: ours.append(v) or f(v), a, b, xatol=1e-12)
+        with np.errstate(invalid="ignore"):  # scipy's parabola through inf values
+            res = minimize_scalar(lambda v: theirs.append(float(v)) or f(v), bounds=(a, b),
+                                  method="bounded", options={"xatol": 1e-12})
+        assert x.hex() == float(res.x).hex()
+        assert [v.hex() for v in ours] == [v.hex() for v in theirs]
+
+    @pytest.mark.parametrize("batch", [20, 50, 500])
+    def test_noisy_profiles(self, batch):
+        for seed in range(10):
+            self._assert_same_as_scipy(*_polish_problem(*_noisy_beats(8000 + 100 * batch + seed,
+                                                                       batch)))
+
+    def test_near_noise_floor_profiles(self):
+        for seed in range(10):
+            self._assert_same_as_scipy(*_polish_problem(_near_floor_beats(9000 + seed),
+                                                        OMEGA1, OMEGA2))
+
+    @pytest.mark.parametrize("f", [
+        lambda x: (x - 0.3) ** 2, lambda x: 1.0, lambda x: x, lambda x: -x,
+        lambda x: abs(x - 0.1234), lambda x: math.cos(7.0 * x),
+        lambda x: math.inf if x < 0.2 else (x - 0.25) ** 2,
+    ], ids=["quadratic", "flat", "min-at-lower-bound", "min-at-upper-bound", "kink",
+            "several-minima", "inf-below-0.2"])
+    def test_plain_functions(self, f):
+        for a, b in ((-1.0, 1.0), (0.0, math.pi / 48), (0.2, 0.2 + 1e-9), (-3.0, 2.5)):
+            self._assert_same_as_scipy(f, np.float64(a), np.float64(b))
 
 
 class TestFirstEnvelopeMaximum:

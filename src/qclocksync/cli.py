@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import functools
 import json
 import os
 import sys
@@ -145,6 +146,7 @@ def _set_dotted(raw: dict, path: str, value) -> bool:
     return True
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qclocksync",

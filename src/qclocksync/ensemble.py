@@ -2,9 +2,9 @@
 
 Lifecycle per pair: entangled and idle until Alice's simultaneous collapse
 makes it Type I or Type II, then consumed by a single destructive batch
-measurement. An ensemble keeps this as two per-pair boolean masks: the Type-I
-mask (None until the collapse) and the consumed mask. A party selects its
-subensemble by label and consumes it batch by batch in label order
+measurement. An ensemble keeps this as two boolean masks indexed by label:
+the Type-I mask (None until the collapse) and the consumed mask. A party
+selects its subensemble by label and consumes it batch by batch in label order
 (select_subensemble, sample_batch). Outcomes are drawn from the closed-form
 single-pair distribution (pos_probability; the tests check it against a
 state-vector oracle), so that million-pair ensembles cost O(1) memory per
@@ -14,7 +14,6 @@ as CSV.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -81,13 +80,16 @@ class PopulationSeries:
         return self.count_pos / self.batch_size
 
     def to_csv(self, path, header_comment: str | None = None) -> None:
+        """Write the series as CSV, with the bytes that csv.writer writes: its
+        \\r\\n line ends, and no quotes, which QUOTE_MINIMAL never puts around
+        a float repr or an integer."""
+        head = f"# {header_comment}\n" if header_comment else ""
+        rows = zip(self.times.tolist(), self.count_pos.tolist(), self.count_neg.tolist(),
+                   self.batch_size.tolist())
         with open(path, "w", newline="") as fh:
-            if header_comment:
-                fh.write(f"# {header_comment}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["t_seconds", "count_pos", "count_neg", "batch_size"])
-            for t, cp, cn, b in zip(self.times, self.count_pos, self.count_neg, self.batch_size):
-                writer.writerow([repr(float(t)), _fmt_count(cp), _fmt_count(cn), _fmt_count(b)])
+            fh.write(head + "t_seconds,count_pos,count_neg,batch_size\r\n" + "".join([
+                f"{t!r},{_fmt_count(cp)},{_fmt_count(cn)},{_fmt_count(b)}\r\n"
+                for t, cp, cn, b in rows]))
 
 
 def _fmt_count(x: float) -> str:
@@ -97,9 +99,12 @@ def _fmt_count(x: float) -> str:
 class Ensemble:
     """An ordered collection of pre-clock pairs sharing one species and eta.
 
-    Pair label l sits at index l - 1 of the type_i mask (None while the pairs
-    are idle, True for Type I after Alice's collapse at epoch t0) and of the
-    consumed mask, which marks the pairs a batch measurement has used up.
+    Pair label l sits at index l of two N+1-entry buffers whose entry 0 is a
+    pad that no label names: the Type-I mask (None while the pairs are idle,
+    True for Type I after Alice's collapse at epoch t0) and the consumed mask,
+    which marks the pairs a batch measurement has used up. A batch indexes
+    them with its labels as they are. type_i and consumed are their 0-based
+    views [1:], where label l sits at index l - 1.
 
     Owned by one party's state machine at a time; operations on a single
     ensemble are serialized by the caller.
@@ -111,8 +116,10 @@ class Ensemble:
         self.n_pairs = int(n_pairs)
         self.species = species
         self.eta = float(eta)
+        self.type_i_by_label: np.ndarray | None = None
         self.type_i: np.ndarray | None = None
-        self.consumed = np.zeros(self.n_pairs, dtype=bool)
+        self.consumed_by_label = np.zeros(self.n_pairs + 1, dtype=bool)
+        self.consumed = self.consumed_by_label[1:]
         self.t0 = math.nan  # shared collapse epoch (global time)
         self.collapse_phi = math.nan  # Alice's basis phase at collapse
 
@@ -131,16 +138,16 @@ def alice_collapse_all(ensemble: Ensemble, t0: float, phi_a: float, rng: np.rand
         raise ValueError("t0 must be finite")
     # The kept mask is allocated before the 8-byte draws: freed after it, the
     # draws leave no heap hole below a live array to raise the peak RSS.
-    type_i = np.empty(ensemble.n_pairs, dtype=bool)
+    by_label = np.empty(ensemble.n_pairs + 1, dtype=bool)
+    by_label[0] = False  # the pad: no pair has label 0
     # P(pos) = 1/2 for every pair of the generalized singlet, any basis phase;
     # verified against the state-vector oracle in the tests.
-    ensemble.type_i = np.less(rng.random(ensemble.n_pairs), 0.5, out=type_i)
+    ensemble.type_i = np.less(rng.random(ensemble.n_pairs), 0.5, out=by_label[1:])
+    ensemble.type_i_by_label = by_label
     ensemble.t0 = float(t0)
     ensemble.collapse_phi = normalize_phase(phi_a)
-    # label = index + 1, so the positions of the Type-I pairs are their labels
-    labels = np.flatnonzero(type_i)
-    labels += 1  # in place: no second N/2-long temporary to page in
-    return labels
+    # the padded mask's Type-I positions are the Type-I labels
+    return np.flatnonzero(by_label)
 
 
 class SubensembleHandle:
@@ -209,23 +216,23 @@ def sample_batch(handle: SubensembleHandle, t: float, batch_size: int,
     """Consume batch_size pairs at global time t; returns (count_pos, batch_size).
 
     Pairs are taken in label order; each outcome uses one uniform draw against
-    the pair's exact single-measurement distribution.
+    the pair's exact single-measurement distribution. The labels index the
+    ensemble's label-indexed masks directly (see Ensemble).
     """
     ens = handle.ensemble
     labels = handle._take(batch_size)
-    idx = labels - 1
-    if ens.type_i is None:
+    if ens.type_i_by_label is None:
         raise ProtocolOrderError("cannot sample an idle pair")
-    if np.any(ens.consumed[idx]):
+    consumed = ens.consumed_by_label
+    if consumed[labels].any():
         raise ProtocolOrderError("cannot sample a consumed pair")
     phi_meas = normalize_phase(phi)
     tau = float(t) - ens.t0
     omega = ens.species.omega
     p_i = pos_probability(party, TYPE_I, omega, tau, ens.collapse_phi, ens.eta, phi_meas)
     p_ii = pos_probability(party, TYPE_II, omega, tau, ens.collapse_phi, ens.eta, phi_meas)
-    p = np.where(ens.type_i[idx], p_i, p_ii)
     draws = rng.random(labels.shape[0])
-    n_pos = int(np.count_nonzero(draws < p))
-    ens.consumed[idx] = True
+    n_pos = int(np.count_nonzero(draws < np.where(ens.type_i_by_label[labels], p_i, p_ii)))
+    consumed[labels] = True
     return n_pos, int(labels.shape[0])
 

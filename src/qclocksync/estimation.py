@@ -10,7 +10,7 @@ candidate fast phase the envelope parameters are an exact linear subproblem.
 The grid's chi2 values come in one closed-form array pass (_profile_chi2):
 expanding the fast factor in cos/sin of the fast phase turns every grid
 point's 2x2 normal equations into quadratic forms over one 4x4 Gram matrix.
-The polish and the final fit solve the subproblem directly (_weighted_lstsq).
+The polish and the final fit solve the subproblem directly (_whitened_lstsq).
 """
 
 from __future__ import annotations
@@ -69,15 +69,19 @@ def _binomial_variance(count_pos: np.ndarray, batch: np.ndarray) -> np.ndarray:
 def _weighted_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     """Solve min_b sum w (y - X b)^2; returns (beta, covariance, chi2)."""
     sw = np.sqrt(w)
-    xw = x * sw[:, None]
-    yw = y * sw
+    beta, xtx, chi2 = _whitened_lstsq(x * sw[:, None], y * sw)
+    return beta, np.linalg.inv(xtx), chi2
+
+
+def _whitened_lstsq(xw: np.ndarray, yw: np.ndarray):
+    """Solve min_b |yw - xw b|^2, for a design and data already scaled by the
+    square roots of the weights; returns (beta, normal matrix, chi2)."""
     xtx = xw.T @ xw
-    if np.linalg.matrix_rank(xtx, tol=None) < x.shape[1]:
+    if np.linalg.matrix_rank(xtx, tol=None) < xw.shape[1]:
         raise RankDeficientError("design matrix is rank deficient")
     beta = np.linalg.solve(xtx, xw.T @ yw)
-    cov = np.linalg.inv(xtx)
     resid = yw - xw @ beta
-    return beta, cov, float(resid @ resid)
+    return beta, xtx, float(resid @ resid)
 
 
 def _profile_chi2(ce: np.ndarray, se: np.ndarray, wft: np.ndarray, y: np.ndarray,
@@ -90,7 +94,7 @@ def _profile_chi2(ce: np.ndarray, se: np.ndarray, wft: np.ndarray, y: np.ndarray
     (cos p, sin p) over the Gram matrix and moment vector of the weighted
     basis [ce sf, ce cf, se sf, se cf]: O(n) work, then O(len(psi)). chi2 is
     yw.yw - b^T A^-1 b with the closed-form 2x2 inverse. A point that fails
-    _weighted_lstsq's rank rule gets inf, so no NaN reaches an argmin.
+    _whitened_lstsq's rank rule gets inf, so no NaN reaches an argmin.
     """
     sw = np.sqrt(w)
     sf, cf = np.sin(wft), np.cos(wft)
@@ -263,7 +267,9 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
     psi_fast is profiled over a 96-point grid on [0, pi), all of whose chi2
     values come from one closed-form array pass (_profile_chi2); a bounded
     Brent minimization (_bounded_brent) then refines it between the best
-    point's neighbours, solving the subproblem directly. psi_env comes from
+    point's neighbours, solving the subproblem directly: its objective
+    takes the weighted data and the fast argument w_f t, computed once, and
+    computes no covariance, which the chi2 does not need. psi_env comes from
     the linear subproblem at the optimum. The (psi_env, psi_fast) ->
     (psi_env + pi, psi_fast + pi) ambiguity is resolved on psi_env alone,
     which keeps the returned phase independent of any basis-phase offset
@@ -277,11 +283,13 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
     t = beats.times
     w = _beat_weights(beats)
     ce, se = np.cos(w_e * t), np.sin(w_e * t)
+    wft = w_f * t
+    sw = np.sqrt(w)
+    yw = beats.diff * sw
 
     def linear_fit(psi_fast: float):
-        s = np.sin(w_f * t + psi_fast)
-        x = np.column_stack([ce * s, se * s])
-        return _weighted_lstsq(x, beats.diff, w)
+        s = np.sin(wft + psi_fast)
+        return _whitened_lstsq(np.column_stack([ce * s, se * s]) * sw[:, None], yw)
 
     def chi2(psi_fast: float) -> float:
         try:
@@ -290,10 +298,10 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
             return math.inf
 
     grid = np.linspace(0.0, math.pi, 97)[:-1]
-    k = int(np.argmin(_profile_chi2(ce, se, w_f * t, beats.diff, w, grid)))
+    k = int(np.argmin(_profile_chi2(ce, se, wft, beats.diff, w, grid)))
     step = grid[1] - grid[0]
     psi_fast = _bounded_brent(chi2, grid[k] - step, grid[k] + step, xatol=1e-12)
-    beta, _cov2, chi2_min = linear_fit(psi_fast)
+    beta, _xtx, chi2_min = linear_fit(psi_fast)
     p_coef, q_coef = beta  # E sin(psi_env), E cos(psi_env)
     amp = math.hypot(p_coef, q_coef)
     if amp == 0.0:
@@ -305,10 +313,9 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
         )
 
     # full covariance over (P, Q, psi_fast) at the optimum
-    s = np.sin(w_f * t + psi_fast)
-    cfast = np.cos(w_f * t + psi_fast)
+    s = np.sin(wft + psi_fast)
+    cfast = np.cos(wft + psi_fast)
     j = np.column_stack([ce * s, se * s, (p_coef * ce + q_coef * se) * cfast])
-    sw = np.sqrt(w)
     jtj = (j * sw[:, None]).T @ (j * sw[:, None])
     try:
         cov = np.linalg.inv(jtj)

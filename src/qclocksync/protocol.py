@@ -140,6 +140,29 @@ class ProtocolSchedules:
 _JSONL_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
+def _jsonl_template(rec: dict) -> tuple[str, tuple[str, ...]]:
+    """The %-template of _JSONL_ENCODER.encode(rec) + "\\n" for every record
+    of rec's shape (its keys, and its string values), and the keys whose
+    values fill it in order. Keys and strings are encoded here once."""
+    parts, keys = [], []
+    for key in sorted(rec):
+        value = rec[key]
+        if type(value) is str:
+            text = json.dumps(value).replace("%", "%%")
+        else:
+            text = "%s"
+            keys.append(key)
+        parts.append(json.dumps(key).replace("%", "%%") + ": " + text)
+    return "{" + ", ".join(parts) + "}\n", tuple(keys)
+
+
+def _json_value(value) -> str:
+    """value as _JSONL_ENCODER encodes it: repr for an int or a finite float."""
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    return _JSONL_ENCODER.encode(value)
+
+
 class Transcript:
     """Ordered event log of a run, serializable as line-delimited JSON."""
 
@@ -152,7 +175,18 @@ class Transcript:
         self.records.append(rec)
 
     def to_jsonl(self) -> str:
-        return "".join(_JSONL_ENCODER.encode(r) + "\n" for r in self.records)
+        """One line per record, as _JSONL_ENCODER writes it; the records of
+        one shape share one template (_jsonl_template)."""
+        templates = {}
+        lines = []
+        for rec in self.records:
+            shape = tuple([(k, v) if type(v) is str else k for k, v in rec.items()])
+            entry = templates.get(shape)
+            if entry is None:
+                entry = templates[shape] = _jsonl_template(rec)
+            template, keys = entry
+            lines.append(template % tuple([_json_value(rec[k]) for k in keys]))
+        return "".join(lines)
 
 
 @dataclass

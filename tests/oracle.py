@@ -1,10 +1,13 @@
 """Exact two-level / two-qubit quantum mechanics: the state-vector oracle,
-and the one-exchange form of the Einstein-synchronization baseline.
+the one-exchange form of the Einstein-synchronization baseline, and the
+plain forms of the run's fast paths.
 
 The simulator samples outcomes from closed forms (ensemble.pos_probability
 and the P = 1/2 collapse); the tests check those closed forms against this
 brute-force state-vector computation, and channels.es_rms_error against a
-loop of einstein_sync calls. Nothing here is used by a run.
+loop of einstein_sync calls. The series writer, the transcript encoder and
+the batch sampler of a run must give the bytes, counts and draws of the
+plain forms at the end of this file. Nothing here is used by a run.
 
 States are stored as complex amplitude vectors (length 2 or 4) and compared
 via fidelity |<a|b>|, never amplitude-wise: a physical state is a ray, not a
@@ -14,12 +17,15 @@ as explicit uniform draws so that results are bit-reproducible.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
 
 import numpy as np
 
 from qclocksync.channels import SPEED_OF_LIGHT, MediumModel
-from qclocksync.errors import QcsError
+from qclocksync.ensemble import TYPE_I, TYPE_II, pos_probability
+from qclocksync.errors import ProtocolOrderError, QcsError
 from qclocksync.quantum import ClockSpecies, normalize_phase
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -219,3 +225,47 @@ def einstein_sync(medium: MediumModel, rng: np.random.Generator,
     # time is half the measured round trip.
     estimated = true_offset + (t_fwd - t_back) / 2.0
     return estimated - true_offset
+
+
+def series_to_csv(series, path, header_comment=None) -> None:
+    """PopulationSeries.to_csv, one csv.writer row per point."""
+    def fmt_count(x):
+        return str(int(x)) if float(x).is_integer() else repr(float(x))
+
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["t_seconds", "count_pos", "count_neg", "batch_size"])
+        for t, cp, cn, b in zip(series.times, series.count_pos, series.count_neg,
+                                series.batch_size):
+            writer.writerow([repr(float(t)), fmt_count(cp), fmt_count(cn), fmt_count(b)])
+
+
+def transcript_to_jsonl(records) -> str:
+    """Transcript.to_jsonl, one sorted-key JSON encoding per record."""
+    encoder = json.JSONEncoder(sort_keys=True)
+    return "".join(encoder.encode(r) + "\n" for r in records)
+
+
+def sample_batch(handle, t: float, batch_size: int, party: str, phi: float,
+                 rng: np.random.Generator) -> tuple[int, int]:
+    """ensemble.sample_batch on the ensemble's 0-based masks, where label l
+    sits at index l - 1."""
+    ens = handle.ensemble
+    labels = handle._take(batch_size)
+    idx = labels - 1
+    if ens.type_i is None:
+        raise ProtocolOrderError("cannot sample an idle pair")
+    if np.any(ens.consumed[idx]):
+        raise ProtocolOrderError("cannot sample a consumed pair")
+    phi_meas = normalize_phase(phi)
+    tau = float(t) - ens.t0
+    omega = ens.species.omega
+    p_i = pos_probability(party, TYPE_I, omega, tau, ens.collapse_phi, ens.eta, phi_meas)
+    p_ii = pos_probability(party, TYPE_II, omega, tau, ens.collapse_phi, ens.eta, phi_meas)
+    p = np.where(ens.type_i[idx], p_i, p_ii)
+    draws = rng.random(labels.shape[0])
+    n_pos = int(np.count_nonzero(draws < p))
+    ens.consumed[idx] = True
+    return n_pos, int(labels.shape[0])

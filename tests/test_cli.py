@@ -13,6 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qclocksync import config as config_module
 from qclocksync.cli import main
 from qclocksync.config import load_config, parse_config, validate_config
 
@@ -451,8 +452,13 @@ class TestBaselineMode:
         ({**QCS_CELL, "channel": {"loss_probability": 1.0}}, ["baseline.qcs_scenario.channel"]),
         ({**QCS_CELL, "bob_schedule": QCS_CELL["schedule"]},
          ["baseline.qcs_scenario.bob_schedule"]),
+        ({**QCS_CELL, "seeds": {"quantum": 1}}, ["baseline.qcs_scenario.seeds.quantum"]),
+        ({**QCS_CELL, "seeds": {"channel": 2, "delta": 3}},
+         ["baseline.qcs_scenario.seeds.channel"]),
+        ({**QCS_CELL, "seeds": {"quantum": 0, "channel": 0}},
+         ["baseline.qcs_scenario.seeds.quantum", "baseline.qcs_scenario.seeds.channel"]),
     ], ids=["no-schedule", "wrong-mode", "no-mode", "not-a-mapping", "own-channel",
-            "own-bob-schedule"])
+            "own-bob-schedule", "own-quantum-seed", "own-channel-seed", "own-both-seeds"])
     def test_bad_qcs_scenario_reported(self, tmp_path, capsys, qcs, fields):
         baseline = {"sigma_grid": [1e-6], "distance_grid": [1e3], "n_trials": 10,
                     "n_qcs_seeds": 1, "qcs_scenario": qcs}
@@ -474,6 +480,20 @@ class TestBaselineMode:
         assert [d["field"] for d in report["diagnostics"]] == ["baseline.distance_grid"]
         assert report["diagnostics"][0]["observed"] == {"distance": distance, "sigma": sigma}
         assert main(["run", path, "-o", str(tmp_path / "out")]) == 1
+
+    def test_qcs_delta_seed_resolves_random_delta(self, tmp_path, capsys):
+        # the cell's seeds.delta is its own: it draws the cell's delta
+        outs = []
+        for seed in (4, 5):
+            qcs = {**QCS_CELL, "delta": "random", "seeds": {"delta": seed}}
+            baseline = {"sigma_grid": [1e-6], "distance_grid": [1e3], "n_trials": 10,
+                        "n_qcs_seeds": 1, "qcs_scenario": qcs}
+            path = _write(tmp_path, {"mode": "baseline_sweep", "baseline": baseline})
+            assert main(["validate", path]) == 0
+            assert main(["run", path, "-o", str(tmp_path / f"out{seed}")]) == 0
+            outs.append((tmp_path / f"out{seed}" / "baseline.csv").read_bytes())
+        capsys.readouterr()
+        assert outs[0] != outs[1]
 
     def test_given_qcs_scenario_runs(self, tmp_path, capsys):
         baseline = {"sigma_grid": [1e-6], "distance_grid": [1e3], "n_trials": 10,
@@ -668,3 +688,73 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_in_process_reuse_keeps_runs_identical(tmp_path, capsys):
+    # one process keeps the CLI parser, and each transcript its record
+    # templates: neither may carry anything from one call into the next
+    a = _write(tmp_path, name="a.yaml")
+    renamed = _write(tmp_path, {"species": [{"name": 'rb "%s" \\ é', "omega": 2.0}]},
+                     name="renamed.yaml")
+    b = _write(tmp_path, {"mode": "two_frequency", "species": TWO_SPECIES}, name="b.yaml")
+
+    def run(path, out):
+        code = main(["run", path, "-o", str(tmp_path / out)])
+        return code, capsys.readouterr().out, _read_artifacts(tmp_path / out)
+
+    first = run(a, "a1")
+    assert first[0] == 0
+    assert main(["validate", b]) == 0
+    assert main(["sweep", a, "-o", str(tmp_path / "sweep"), "--param", "delta",
+                 "--values", "[0.1, 0.2]"]) == 0
+    capsys.readouterr()
+    assert run(a, "a2") == first
+    other = run(renamed, "r")
+    assert other[0] == 0 and 'rb \\"%s\\"' in other[2]["events.jsonl"].decode()
+    assert run(a, "a3") == first
+
+
+# resolved scenarios with any species names and output directory: the echo's
+# safe_dump text
+echoes = st.builds(
+    lambda names, output_dir: parse_config({
+        **README_SCENARIO, "mode": "two_frequency", "output_dir": output_dir,
+        "species": [{"name": names[0], "omega": 2.0}, {"name": names[1], "omega": 2.2}],
+    })[0].config,
+    st.lists(st.text(min_size=1), min_size=2, max_size=2, unique=True),
+    st.text(min_size=1))
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML without libyaml")
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(echoes)
+def test_libyaml_loads_echoes_as_the_pure_loader(resolved):
+    text = yaml.safe_dump(resolved, sort_keys=True)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=config_module._YAML_LOADER) == resolved
+
+
+def test_cli_tests_pass_on_the_pure_loader():
+    # where PyYAML lacks libyaml, load_config takes yaml.SafeLoader: run this
+    # file's other tests again in a process that loads with it, counting loads
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, pytest, yaml\n"
+            "from qclocksync import config\n"
+            "class Counted(yaml.SafeLoader):\n"
+            "    loads = 0\n"
+            "    def __init__(self, stream):\n"
+            "        Counted.loads += 1\n"
+            "        super().__init__(stream)\n"
+            "config._YAML_LOADER = Counted\n"
+            "code = pytest.main(sys.argv[1:])\n"
+            "print('loads', Counted.loads)\n"
+            "sys.exit(code)\n")
+    out = subprocess.run(
+        [sys.executable, "-c", code, "-q", "-p", "no:cacheprovider", __file__,
+         "-k", "not pure_loader"],  # neither this test nor the parity one loads a scenario
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout[-3000:] + out.stderr[-3000:]
+    assert " failed" not in out.stdout and " passed" in out.stdout
+    assert int(out.stdout.rsplit("loads ", 1)[1]) > 100

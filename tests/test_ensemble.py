@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from oracle import (
     apply_local,
     dual_projection_probability,
@@ -17,6 +20,7 @@ from qclocksync.ensemble import (
     Ensemble,
     PopulationSeries,
     SamplingSchedule,
+    SubensembleHandle,
     alice_collapse_all,
     pos_probability,
     sample_batch,
@@ -294,6 +298,97 @@ class TestPopulationSeries:
     def test_p_hat(self):
         series = PopulationSeries([0.0], [30], [70], [100])
         np.testing.assert_allclose(series.p_hat(), [0.3])
+
+    @staticmethod
+    def _assert_writes_as_csv_writer(tmp_path, series, comment):
+        fast, plain = tmp_path / "fast.csv", tmp_path / "plain.csv"
+        series.to_csv(fast, header_comment=comment)
+        oracle.series_to_csv(series, plain, header_comment=comment)
+        assert fast.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("comment", [None, "", "qclocksync seeds: quantum=1, \"é\" %s"])
+    def test_csv_bytes_are_csv_writers(self, tmp_path, comment):
+        # float counts, a negative zero, a huge integral float and a subnormal
+        series = PopulationSeries([-0.0, 0.1, 1e300, 5e-324, 2.5],
+                                  [2.5, -0.0, 1e300, 0.0, 1.0 / 3.0],
+                                  [7.5, 10.0, 0.0, 3.0, 2.0 / 3.0],
+                                  [10, 10, 1e300, 3, 1.0])
+        self._assert_writes_as_csv_writer(tmp_path, series, comment)
+        empty = PopulationSeries([], [], [], [])
+        self._assert_writes_as_csv_writer(tmp_path, empty, comment)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(0.0, 1e300), st.floats(0.0, 1e300)), max_size=8))
+    def test_csv_bytes_are_csv_writers_for_any_series(self, tmp_path_factory, points):
+        series = PopulationSeries([p[0] for p in points], [p[1] for p in points],
+                                  [p[2] for p in points], [p[1] + p[2] for p in points])
+        self._assert_writes_as_csv_writer(tmp_path_factory.mktemp("csv"), series, "c")
+
+
+class TestSampleBatchIsThePlainForm:
+    """sample_batch, which indexes the label-indexed masks with its labels,
+    gives the counts, the consumed pairs and the rng end state of the plain
+    form in tests/oracle.py, which shifts every label to a 0-based index."""
+
+    @staticmethod
+    def _twins(n=50_000):
+        ensembles = [_collapsed(n=n, eta=0.4, t0=0.25, phi_a=1.1, seed=21)[0]
+                     for _ in range(2)]
+        return ensembles, [np.random.default_rng(22) for _ in range(2)]
+
+    @staticmethod
+    def _assert_same(ensembles, rngs):
+        np.testing.assert_array_equal(ensembles[0].consumed, ensembles[1].consumed)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_mixed_type_batches_of_both_parties(self):
+        ensembles, rngs = self._twins()
+        # every label: a handle whose batches hold Type-I and Type-II pairs
+        handles = [select_subensemble(e, np.arange(1, e.n_pairs + 1)) for e in ensembles]
+        calls = [(0.5, 1, "A", 0.0), (0.75, 50, "B", 2.0), (1.0, 20_000, "A", 0.3),
+                 (1.25, 1, "B", -4.0), (1.5, 50, "A", 7.0), (1.75, 20_000, "B", 1.0)]
+        counts = [[fn(h, *call, rng) for call in calls]
+                  for fn, h, rng in zip((sample_batch, oracle.sample_batch), handles, rngs)]
+        assert counts[0] == counts[1]
+        assert [n for _, n in counts[0]] == [c[1] for c in calls]
+        self._assert_same(ensembles, rngs)
+
+        # a budget overrun draws and consumes nothing in either
+        for fn, h, rng in zip((sample_batch, oracle.sample_batch), handles, rngs):
+            with pytest.raises(BudgetError):
+                fn(h, 2.0, 20_000, "A", 0.0, rng)
+        self._assert_same(ensembles, rngs)
+        tails = [fn(h, 2.0, 9_898, "B", 0.5, rng)
+                 for fn, h, rng in zip((sample_batch, oracle.sample_batch), handles, rngs)]
+        assert tails[0] == tails[1]
+        self._assert_same(ensembles, rngs)
+        assert ensembles[0].consumed.all()
+
+    def test_each_subensemble_of_its_party(self):
+        ensembles, rngs = self._twins(n=4_001)
+        counts = []
+        for ens, fn, rng in zip(ensembles, (sample_batch, oracle.sample_batch), rngs):
+            type_i = np.flatnonzero(ens.type_i) + 1
+            type_ii = np.flatnonzero(~ens.type_i) + 1
+            alice, bob = select_subensemble(ens, type_i), select_subensemble(ens, type_ii)
+            counts.append([fn(h, t, 50, party, 0.2, rng)
+                           for t in np.linspace(0.3, 3.0, 20)
+                           for h, party in ((alice, "A"), (bob, "B"))])
+        assert counts[0] == counts[1]
+        self._assert_same(ensembles, rngs)
+
+    def test_refused_batches_draw_nothing(self):
+        ensembles, rngs = self._twins(n=400)
+        for ens, fn, rng in zip(ensembles, (sample_batch, oracle.sample_batch), rngs):
+            handle = select_subensemble(ens, np.arange(1, 11))
+            fn(handle, 0.5, 5, "A", 0.0, rng)
+            with pytest.raises(ProtocolOrderError):  # labels 1..5 are consumed
+                fn(select_subensemble(ens, np.arange(1, 6)), 1.0, 5, "A", 0.0, rng)
+            with pytest.raises(ProtocolOrderError):  # no collapse yet
+                fn(SubensembleHandle(Ensemble(10, CS), np.arange(1, 11)), 1.0, 5, "B", 0.0,
+                   rng)
+        self._assert_same(ensembles, rngs)
 
 
 class TestNoSignalling:

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from qclocksync import estimation, protocol
 from qclocksync.channels import ChannelModel
 from qclocksync.ensemble import Ensemble, SamplingSchedule
@@ -183,6 +186,34 @@ class TestTranscript:
         text = transcript.to_jsonl()
         back = [json.loads(line) for line in text.splitlines()]
         assert back == transcript.records
+
+    def test_jsonl_is_the_plain_encoding(self):
+        # every record shape of a run, and values that repr does not write as
+        # JSON: non-finite floats, bools, None, nested values, and names that
+        # need escapes in JSON or in a %-template
+        transcript = Transcript()
+        _run(channel=ChannelModel(base_delay=1.0), bob_shift=10.0, transcript=transcript)
+        for name in ("é", 'say "hi"', "back\\slash", "100%", "%s%d%%", "\u2603\n\t", ""):
+            transcript.record("sample", 1.5, party="A", species=name, count_pos=3,
+                              batch_size=7)
+            transcript.record(name, 2.0, **{name or "k": name, f"{name}%x": 1})
+        for value in (math.nan, math.inf, -math.inf, -0.0, 1e300, 5e-324, True, False, None,
+                      2**70, -3, [1, 2.5, "a%b"], {"z": 1, "a": None}):
+            transcript.record("odd", value if isinstance(value, float) else 0.0, value=value)
+        transcript.record("nested", 3.0, value={"b": [math.nan, {"%": "%%"}], "a": True})
+        assert transcript.to_jsonl() == oracle.transcript_to_jsonl(transcript.records)
+        assert Transcript().to_jsonl() == "" == oracle.transcript_to_jsonl([])
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.dictionaries(
+        st.text().filter(lambda k: k not in ("seq", "time", "kind")),
+        st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.text()),
+        max_size=4), max_size=6))
+    def test_jsonl_is_the_plain_encoding_for_any_record(self, records):
+        transcript = Transcript()
+        for fields in records:
+            transcript.record("event", 0.5, **fields)
+        assert transcript.to_jsonl() == oracle.transcript_to_jsonl(transcript.records)
 
     def test_no_timestamps_in_label_payload(self):
         # Type-I labels {1, 2, 3} of N = 11: one full byte plus one padding byte

@@ -412,6 +412,34 @@ class TestBaselineMode:
         text = (out / "baseline.csv").read_text()
         assert "sigma,distance,rms_error_es,rms_error_qcs,n_trials" in text
 
+    def test_fixed_seed_qcs_errors_are_pinned(self, tmp_path, capsys, monkeypatch):
+        # Each party asks for 1000 of 2040 pairs, so a seed whose Type-I count
+        # falls short of either party's need ends budget_exhausted and leaves
+        # a gap among the cell's fits. The parser rejects any schedule beyond
+        # the 5-sigma budget, where exhaustion is a 1-in-3e6 event; widen it.
+        monkeypatch.setattr(config_module, "_budget_limit", lambda n_pairs: n_pairs)
+        reasons = []
+        score = config_module.score_single_frequency
+
+        def spy(result, *args):
+            reasons.append(result.reason)
+            return score(result, *args)
+
+        monkeypatch.setattr(config_module, "score_single_frequency", spy)
+        qcs = {**QCS_CELL, "n_pairs": 2040, "delta": 0.3,
+               "schedule": {**QCS_CELL["schedule"], "batch_size": 100}}
+        baseline = {"sigma_grid": [1e-6, 1e-4], "distance_grid": [1e3, 1e6],
+                    "n_trials": 10, "n_qcs_seeds": 6, "qcs_scenario": qcs}
+        path = _write(tmp_path, {"mode": "baseline_sweep", "baseline": baseline,
+                                 "seeds": {"quantum": 11, "channel": 12}})
+        assert main(["run", path, "-o", str(tmp_path / "out")]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert len(reasons) == 24
+        assert {None, "budget_exhausted"} == set(reasons)
+        assert [repr(c["rms_error_qcs"]) for c in cells] == [
+            "0.05992290841421914", "0.05878112498616813",
+            "0.05992291032823209", "0.05878303828482835"]
+
     @pytest.mark.parametrize("value", ["abc", 12.5])
     def test_non_integer_n_trials_rejected(self, tmp_path, capsys, value):
         path = _write(tmp_path, {

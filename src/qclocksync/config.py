@@ -38,11 +38,13 @@ from .protocol import (
     Transcript,
     check_distinct_species,
     establish_time_origin,
+    fit_single_frequency,
     run_single_frequency,
     run_two_frequency,
     score_envelope,
     score_single_frequency,
     score_time_origin,
+    walk_single_frequency,
 )
 from .quantum import TWO_PI, ClockSpecies, normalize_phase
 
@@ -496,12 +498,14 @@ def _write_series(out_dir: str, config: dict, result: SyncResult) -> None:
                               header_comment=header)
 
 
-def _run_protocol(scenario: Scenario, qrng: np.random.Generator, crng: np.random.Generator,
-                  transcript: Transcript | None = None) -> SyncResult:
+def _run_quantum_mode(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
     """One run of a quantum-protocol scenario, scored against its hidden truth."""
     config, species, alice, bob = scenario.config, scenario.species, scenario.alice, scenario.bob
+    transcript = Transcript()
     ens = tuple(Ensemble(config["n_pairs"], sp, config["eta"]) for sp in species)
-    args = (alice, bob, scenario.channel, scenario.schedules, qrng, crng, transcript)
+    args = (alice, bob, scenario.channel, scenario.schedules,
+            np.random.default_rng(int(config["seeds"]["quantum"])),
+            np.random.default_rng(int(config["seeds"]["channel"])), transcript)
     if config["mode"] == "single_frequency":
         result = run_single_frequency(ens[0], *args)
         score_single_frequency(result, alice, bob, species[0], config["eta"])
@@ -511,14 +515,6 @@ def _run_protocol(scenario: Scenario, qrng: np.random.Generator, crng: np.random
     else:  # time_origin
         result = establish_time_origin(scenario.time_origin, ens, *args)
         score_time_origin(result, alice, bob)
-    return result
-
-
-def _run_quantum_mode(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
-    config = scenario.config
-    transcript = Transcript()
-    result = _run_protocol(scenario, np.random.default_rng(int(config["seeds"]["quantum"])),
-                           np.random.default_rng(int(config["seeds"]["channel"])), transcript)
 
     with open(os.path.join(out_dir, "events.jsonl"), "w") as fh:
         meta = {"kind": "meta", "version": __version__, "seeds": config["seeds"]}
@@ -535,10 +531,10 @@ def _run_baseline_sweep(scenario: Scenario, out_dir: str) -> tuple[dict, str]:
     config, n_trials = scenario.config, scenario.n_trials
     rows = []
     crng = np.random.default_rng(int(config["seeds"]["channel"]))
+    quantum_seeds, channel_seed = _qcs_seeds(config["seeds"], scenario.n_qcs_seeds)
     for medium, cell in scenario.grid:
         rms_es = es_rms_error(medium, n_trials, crng)
-        rms_qcs = _qcs_rms(cell, scenario.n_qcs_seeds, int(config["seeds"]["quantum"]),
-                           int(config["seeds"]["channel"]))
+        rms_qcs = _qcs_rms(cell, quantum_seeds, channel_seed)
         rows.append((medium.index_fluctuation_sigma, medium.distance, rms_es, rms_qcs,
                      n_trials))
 
@@ -570,12 +566,26 @@ def _qcs_cell(cell: Scenario, medium: MediumModel) -> Scenario:
         schedules=ProtocolSchedules(s.alice, bob, s.collapse_time, s.send_time))
 
 
-def _qcs_rms(cell: Scenario, n_seeds: int, quantum_seed: int, channel_seed: int) -> float:
-    """RMS entanglement-protocol sync error of one QCS cell across quantum seeds."""
+def _qcs_seeds(seeds: dict, n_seeds: int) -> tuple[list, np.random.SeedSequence]:
+    """A sweep's QCS seeds, derived once for all its cells: one quantum child
+    of seeds.quantum per run, and the one child of seeds.channel that starts
+    every run's channel stream."""
+    return (np.random.SeedSequence(int(seeds["quantum"])).spawn(n_seeds),
+            np.random.SeedSequence(int(seeds["channel"])).spawn(1)[0])
+
+
+def _qcs_rms(cell: Scenario, quantum_seeds: list, channel_seed) -> float:
+    """RMS entanglement-protocol sync error of one QCS cell, one run per
+    quantum seed; the runs are walked one by one and fitted in one call."""
+    config, species = cell.config, cell.species[0]
+    walks = [walk_single_frequency(Ensemble(config["n_pairs"], species, config["eta"]),
+                                   cell.alice, cell.bob, cell.channel, cell.schedules,
+                                   np.random.default_rng(seed),
+                                   np.random.default_rng(channel_seed))
+             for seed in quantum_seeds]
     errs = []
-    for child in np.random.SeedSequence(quantum_seed).spawn(n_seeds):
-        crng = np.random.default_rng(np.random.SeedSequence(channel_seed).spawn(1)[0])
-        result = _run_protocol(cell, np.random.default_rng(child), crng)
+    for result in fit_single_frequency(walks):
+        score_single_frequency(result, cell.alice, cell.bob, species, config["eta"])
         if result.sync_error is not None:
             errs.append(result.sync_error)
     if not errs:

@@ -3,10 +3,12 @@
 The clock frequencies are exactly known constants (they define the species),
 so only phases are fitted. The single-tone fit is a weighted linear least
 squares in the (a, b, c) parametrization p(t) = a cos(w t) + b sin(w t) + c,
-which is convex and has no initialization sensitivity. The beat-envelope fit
-profiles the single nonlinear fast-phase parameter over a grid and polishes
-it with an in-tree bounded Brent minimization (_bounded_brent); for each
-candidate fast phase the envelope parameters are an exact linear subproblem.
+which is convex and has no initialization sensitivity; fit_phases fits
+many series in one stacked solve, each with the bits of its own fit. The
+beat-envelope fit profiles the single nonlinear fast-phase parameter over a
+grid and polishes it with an in-tree bounded Brent minimization
+(_bounded_brent); for each candidate fast phase the envelope parameters are
+an exact linear subproblem.
 The grid's chi2 values come in one closed-form array pass (_profile_chi2):
 expanding the fast factor in cos/sin of the fast phase turns every grid
 point's 2x2 normal equations into quadratic forms over one 4x4 Gram matrix.
@@ -16,6 +18,7 @@ The polish and the final fit solve the subproblem directly (_whitened_lstsq).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,13 +67,6 @@ def _binomial_variance(count_pos: np.ndarray, batch: np.ndarray) -> np.ndarray:
     # without visibly biasing the weights at realistic batch sizes.
     p_shrunk = (count_pos + 0.5) / (batch + 1.0)
     return p_shrunk * (1.0 - p_shrunk) / batch
-
-
-def _weighted_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Solve min_b sum w (y - X b)^2; returns (beta, covariance, chi2)."""
-    sw = np.sqrt(w)
-    beta, xtx, chi2 = _whitened_lstsq(x * sw[:, None], y * sw)
-    return beta, np.linalg.inv(xtx), chi2
 
 
 def _whitened_lstsq(xw: np.ndarray, yw: np.ndarray):
@@ -188,43 +184,112 @@ def _bounded_brent(f, a: float, b: float, xatol: float) -> float:
     return xf
 
 
+def _n_distinct(times: np.ndarray) -> np.ndarray:
+    """Distinct values along the last axis of times, as np.unique counts
+    them: equal floats once, -0.0 with 0.0, and every NaN as one value."""
+    s = np.sort(times, axis=-1)
+    # sorting puts NaNs last, so a NaN on the left of a pair has one on its right
+    new = (s[..., 1:] != s[..., :-1]) & ~np.isnan(s[..., :-1])
+    return np.count_nonzero(new, axis=-1) + (s.shape[-1] > 0)
+
+
 def check_phase_grid(times) -> None:
     """Raise RankDeficientError (param 'n_points') unless estimate_phase has
     the 3 distinct sample times it needs."""
-    if np.unique(times).shape[0] < 3:
-        raise blame(RankDeficientError("phase fit needs at least 3 distinct sample times"),
-                    "n_points")
+    if _n_distinct(np.asarray(times, dtype=np.float64)) < 3:
+        raise _few_times()
+
+
+def _few_times() -> RankDeficientError:
+    return blame(RankDeficientError("phase fit needs at least 3 distinct sample times"),
+                 "n_points")
+
+
+def fit_phases(series: Sequence[PopulationSeries],
+               omegas: Sequence[float]) -> list[PhaseEstimate | EstimationError]:
+    """Fit each series[i] at frequency omegas[i] as estimate_phase does, and
+    return per series its PhaseEstimate, or the EstimationError that
+    estimate_phase raises for it.
+
+    Series of one length share one stack (_fit_stack): one matrix_rank, one
+    solve and one inv call over (k, 3, 3) normal matrices. Each of numpy's
+    stacked calls runs the 2-D call's BLAS or LAPACK routine per matrix, so
+    every result has the bits of a fit of its series alone.
+    """
+    results: list = [None] * len(series)
+    stacks: dict[int, list[int]] = {}
+    for i, one in enumerate(series):
+        stacks.setdefault(len(one), []).append(i)
+    for index in stacks.values():
+        fits = _fit_stack([series[i] for i in index], [omegas[i] for i in index])
+        for i, fit in zip(index, fits):
+            results[i] = fit
+    return results
+
+
+def _fit_stack(stack: list[PopulationSeries],
+               omegas: list[float]) -> list[PhaseEstimate | EstimationError]:
+    """fit_phases for k series of one length n: p_hat(t) = a cos(w t) +
+    b sin(w t) + c by weighted linear least squares, with (k, n, 3) designs.
+    A series that fails a check leaves the stack, so the later steps see
+    only the series that are still fit."""
+    results: list = [None] * len(stack)
+    t = np.stack([one.times for one in stack])
+    count_pos = np.stack([one.count_pos for one in stack])
+    batch = np.stack([one.batch_size for one in stack])
+    empty = np.any(batch <= 0, axis=1)
+    few = ~empty & (_n_distinct(t) < 3)
+    for i in np.flatnonzero(empty):
+        results[i] = EstimationError("series contains empty batches")
+    for i in np.flatnonzero(few):
+        results[i] = _few_times()
+    rows = np.flatnonzero(~(empty | few))
+    t, count_pos, batch = t[rows], count_pos[rows], batch[rows]
+
+    sw = np.sqrt(1.0 / _binomial_variance(count_pos, batch))
+    wt = np.array(omegas, dtype=np.float64)[rows, None] * t
+    xw = np.stack([np.cos(wt), np.sin(wt), np.ones_like(t)], axis=-1) * sw[..., None]
+    yw = count_pos / batch * sw
+    xtx = xw.transpose(0, 2, 1) @ xw
+    full = np.linalg.matrix_rank(xtx, tol=None) == 3
+    for i in rows[~full]:
+        results[i] = RankDeficientError("design matrix is rank deficient")
+    rows, xw, yw, xtx = rows[full], xw[full], yw[full], xtx[full]
+
+    beta = np.linalg.solve(xtx, xw.transpose(0, 2, 1) @ yw[..., None])
+    resid = yw - (xw @ beta)[..., 0]
+    chi2 = (resid[:, None, :] @ resid[..., None])[:, 0, 0]
+    a, b = beta[:, 0, 0], beta[:, 1, 0]
+    r2 = a * a + b * b
+    zero = r2 <= 0.0  # not NaN: a NaN amplitude is fitted, as one series alone is
+    for i in rows[zero]:
+        results[i] = EstimationError("oscillation amplitude is zero; phase undefined")
+    keep = ~zero
+    rows, chi2, a, b, r2 = rows[keep], chi2[keep], a[keep], b[keep], r2[keep]
+    # delta method on phase = atan2(-b, a)
+    grad = np.stack([b / r2, -a / r2, np.zeros_like(a)], axis=-1)
+    cov = np.linalg.inv(xtx[keep])
+    var = (grad[:, None, :] @ cov @ grad[..., None])[:, 0, 0]
+    n = t.shape[1]
+    for i, ai, bi, vi, ci in zip(rows, a.tolist(), b.tolist(), var.tolist(), chi2.tolist()):
+        # math.atan2, not np.arctan2: numpy's own loop may differ in the last bit
+        results[i] = PhaseEstimate(phase=normalize_phase(math.atan2(-bi, ai)),
+                                   sigma=math.sqrt(max(vi, 0.0)), n_samples_used=n,
+                                   residual=ci)
+    return results
 
 
 def estimate_phase(series: PopulationSeries, species: ClockSpecies) -> PhaseEstimate:
-    """Fit p_hat(t) = (1 + cos(w t + phase))/2 by weighted linear least squares.
+    """Fit p_hat(t) = (1 + cos(w t + phase))/2 by weighted linear least squares:
+    fit_phases for one series, raising its EstimationError.
 
     The constant term is fitted rather than pinned at 1/2; a fitted constant
     far from 1/2 inflates the reported residual and flags sampling bugs.
     """
-    if np.any(series.batch_size <= 0):
-        raise EstimationError("series contains empty batches")
-    check_phase_grid(series.times)
-    t = series.times
-    y = series.p_hat()
-    w = 1.0 / _binomial_variance(series.count_pos, series.batch_size)
-    wt = species.omega * t
-    x = np.column_stack([np.cos(wt), np.sin(wt), np.ones_like(t)])
-    beta, cov, chi2 = _weighted_lstsq(x, y, w)
-    a, b, _c = beta
-    r2 = a * a + b * b
-    if r2 <= 0.0:
-        raise EstimationError("oscillation amplitude is zero; phase undefined")
-    phase = math.atan2(-b, a)
-    # delta method on phase = atan2(-b, a)
-    grad = np.array([b / r2, -a / r2, 0.0])
-    var = float(grad @ cov @ grad)
-    return PhaseEstimate(
-        phase=normalize_phase(phase),
-        sigma=math.sqrt(max(var, 0.0)),
-        n_samples_used=len(series),
-        residual=chi2,
-    )
+    (fit,) = fit_phases([series], [species.omega])
+    if isinstance(fit, EstimationError):
+        raise fit
+    return fit
 
 
 def beat_difference(series1: PopulationSeries, series2: PopulationSeries) -> BeatSeries:

@@ -318,7 +318,30 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
                          quantum_rng: np.random.Generator,
                          channel_rng: np.random.Generator,
                          transcript: Transcript | None = None) -> SyncResult:
-    """One full single-frequency synchronization run.
+    """One full single-frequency synchronization run: walk_single_frequency,
+    then fit_single_frequency on that one run."""
+    walk = walk_single_frequency(ensemble, alice, bob, channel, schedules, quantum_rng,
+                                 channel_rng, transcript)
+    return fit_single_frequency([walk])[0]
+
+
+@dataclass
+class WalkedRun:
+    """A single-frequency run walked through its events, before any fit: the
+    measured series, and what stopped the run short of Bob's fit."""
+
+    outcome: SpeciesOutcome
+    lost: bool = False
+    missed: bool = False
+    budget_hit: bool = False
+
+
+def walk_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfig,
+                          channel: ChannelModel, schedules: ProtocolSchedules,
+                          quantum_rng: np.random.Generator,
+                          channel_rng: np.random.Generator,
+                          transcript: Transcript | None = None) -> WalkedRun:
+    """The events of one single-frequency run, up to its phase fits.
 
     Flow: Alice collapses every pair at her t=0, samples her Type-I
     subensemble on her schedule, and broadcasts the Type-I label set as a
@@ -327,8 +350,8 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
     whose bits are clear, already ascending, as his Type-II subensemble (see
     complement_labels). He samples it on his (absolute, pre-agreed) schedule;
     scheduled times that precede delivery cannot be measured and make the
-    run inconclusive. Both parties fit their clock phase against their own
-    local timestamps; a fit that cannot be made leaves the run inconclusive.
+    run inconclusive. The fits draw nothing, so fit_single_frequency can fit
+    many walked runs at once.
     """
     species = ensemble.species
 
@@ -338,12 +361,10 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
         + [_event(alice.to_global(t), "alice_sample") for t in schedules.alice.times]
         + [_event(bob.to_global(t), "bob_sample") for t in schedules.bob.times])
 
-    outcome = SpeciesOutcome(species=species)
+    walk = WalkedRun(SpeciesOutcome(species=species))
+    outcome = walk.outcome
     alice_handle: SubensembleHandle | None = None
     bob_handle: SubensembleHandle | None = None
-    lost = False
-    missed = False
-    budget_hit = False
     a_counts: list[tuple[float, int, int]] = []
     b_counts: list[tuple[float, int, int]] = []
 
@@ -365,7 +386,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
             msg = broadcast_labels(channel, alice, species, ensemble.type_i, t,
                                    channel_rng, transcript)
             if msg is None:
-                lost = True
+                walk.lost = True
             else:
                 bisect.insort(events, _event(msg.deliver_time, "deliver", msg), lo=pos)
         elif kind == "deliver":
@@ -379,7 +400,7 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
                 n_pos, n = sample_batch(alice_handle, t, schedules.alice.batch_size,
                                         "A", alice.basis_phase, quantum_rng)
             except BudgetError:
-                budget_hit = True
+                walk.budget_hit = True
                 continue
             a_counts.append((t, n_pos, n))
             if transcript is not None:
@@ -387,15 +408,15 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
                                   count_pos=n_pos, batch_size=n)
         elif kind == "bob_sample":
             if bob_handle is None:
-                missed = True
-                if transcript is not None and not lost:
+                walk.missed = True
+                if transcript is not None and not walk.lost:
                     transcript.record("missed_sample", t, party="B", species=species.name)
                 continue
             try:
                 n_pos, n = sample_batch(bob_handle, t, schedules.bob.batch_size,
                                         "B", bob.basis_phase, quantum_rng)
             except BudgetError:
-                budget_hit = True
+                walk.budget_hit = True
                 continue
             b_counts.append((t, n_pos, n))
             if transcript is not None:
@@ -412,36 +433,73 @@ def run_single_frequency(ensemble: Ensemble, alice: PartyConfig, bob: PartyConfi
 
     outcome.alice_series = build_series(a_counts, alice)
     outcome.bob_series = build_series(b_counts, bob)
-    result = SyncResult(status="ok", species_outcomes={species.name: outcome})
-    if outcome.alice_series is not None and not budget_hit:
-        outcome.alice_phase = _fit(result, "alice_phase", estimation.estimate_phase,
-                                   outcome.alice_series, species)
-    if lost:
-        result.status, result.reason = "no_sync", "label_message_lost"
-        return result
-    if missed:
-        result.status, result.reason = "inconclusive", "bob_schedule_preceded_delivery"
-        return result
-    if budget_hit or outcome.bob_series is None:
-        result.status, result.reason = "inconclusive", "budget_exhausted"
-        return result
-    if result.status == "ok":  # else Alice's fit failed
-        outcome.bob_phase = _fit(result, "bob_phase", estimation.estimate_phase,
-                                 outcome.bob_series, species)
-    return result
+    return walk
+
+
+def fit_single_frequency(walks: list[WalkedRun]) -> list[SyncResult]:
+    """The results of walked runs, their phases fitted in one
+    estimation.fit_phases call.
+
+    Each party fits its clock phase against its own local timestamps. A
+    run's status is the first that applies: no_sync if the label message
+    was lost; inconclusive if Bob's schedule preceded the delivery, or if a
+    schedule overran its subensemble (then neither party is fitted);
+    inconclusive if Alice's fit, and then Bob's, could not be made; else ok.
+    Bob's series is fitted beside Alice's, and its fit is kept only if
+    Alice's succeeded.
+    """
+    series, omegas = [], []
+    for walk in walks:
+        out = walk.outcome
+        if out.alice_series is not None and not walk.budget_hit:
+            series.append(out.alice_series)
+            omegas.append(out.species.omega)
+        if not (walk.lost or walk.missed or walk.budget_hit) and out.bob_series is not None:
+            series.append(out.bob_series)
+            omegas.append(out.species.omega)
+    fits = iter(estimation.fit_phases(series, omegas))
+
+    results = []
+    for walk in walks:
+        out = walk.outcome
+        result = SyncResult(status="ok", species_outcomes={out.species.name: out})
+        results.append(result)
+        if out.alice_series is not None and not walk.budget_hit:
+            out.alice_phase = _settle(result, "alice_phase", next(fits))
+        if walk.lost:
+            result.status, result.reason = "no_sync", "label_message_lost"
+        elif walk.missed:
+            result.status, result.reason = "inconclusive", "bob_schedule_preceded_delivery"
+        elif walk.budget_hit or out.bob_series is None:
+            result.status, result.reason = "inconclusive", "budget_exhausted"
+        else:
+            bob_fit = next(fits)
+            if result.status == "ok":  # else Alice's fit failed
+                out.bob_phase = _settle(result, "bob_phase", bob_fit)
+    return results
+
+
+def _settle(result: SyncResult, name: str, fit):
+    """fit, or None once result is made inconclusive by a fit that failed:
+    with the fit's own reason if it judged its data inconclusive, or with a
+    reason that names the fit if the fit could not be made (an
+    EstimationError)."""
+    if isinstance(fit, InconclusiveError):
+        result.status, result.reason = "inconclusive", str(fit)
+    elif isinstance(fit, EstimationError):
+        result.status, result.reason = "inconclusive", f"{name} fit failed: {fit}"
+    else:
+        return fit
+    return None
 
 
 def _fit(result: SyncResult, name: str, fit, *args):
-    """fit(*args), or None once result is made inconclusive: with the fit's
-    own reason if it judged its data inconclusive, or with a reason that
-    names the fit if the fit could not be made (an EstimationError)."""
+    """fit(*args), settled into result as _settle does."""
     try:
-        return fit(*args)
-    except InconclusiveError as exc:
-        result.status, result.reason = "inconclusive", str(exc)
-    except EstimationError as exc:
-        result.status, result.reason = "inconclusive", f"{name} fit failed: {exc}"
-    return None
+        value = fit(*args)
+    except (InconclusiveError, EstimationError) as exc:
+        value = exc
+    return _settle(result, name, value)
 
 
 def check_distinct_species(species1: ClockSpecies, species2: ClockSpecies) -> None:

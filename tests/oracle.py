@@ -5,9 +5,9 @@ plain forms of the run's fast paths.
 The simulator samples outcomes from closed forms (ensemble.pos_probability
 and the P = 1/2 collapse); the tests check those closed forms against this
 brute-force state-vector computation, and channels.es_rms_error against a
-loop of einstein_sync calls. The series writer, the transcript encoder and
-the batch sampler of a run must give the bytes, counts and draws of the
-plain forms at the end of this file. Nothing here is used by a run.
+loop of einstein_sync calls. The series writer, the transcript encoder, the
+batch sampler and the stacked phase fit of a run must give the bytes,
+counts, draws and fits of the plain forms at the end of this file. Nothing here is used by a run.
 
 States are stored as complex amplitude vectors (length 2 or 4) and compared
 via fidelity |<a|b>|, never amplitude-wise: a physical state is a ray, not a
@@ -25,7 +25,9 @@ import numpy as np
 
 from qclocksync.channels import SPEED_OF_LIGHT, MediumModel
 from qclocksync.ensemble import TYPE_I, TYPE_II, pos_probability
-from qclocksync.errors import ProtocolOrderError, QcsError
+from qclocksync.errors import (EstimationError, ProtocolOrderError, QcsError,
+                               RankDeficientError, blame)
+from qclocksync.estimation import PhaseEstimate, _binomial_variance
 from qclocksync.quantum import ClockSpecies, normalize_phase
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -269,3 +271,45 @@ def sample_batch(handle, t: float, batch_size: int, party: str, phi: float,
     n_pos = int(np.count_nonzero(draws < p))
     ens.consumed[idx] = True
     return n_pos, int(labels.shape[0])
+
+
+def _weighted_lstsq(x: np.ndarray, y: np.ndarray, w: np.ndarray):
+    """Solve min_b sum w (y - X b)^2; returns (beta, covariance, chi2)."""
+    sw = np.sqrt(w)
+    xw, yw = x * sw[:, None], y * sw
+    xtx = xw.T @ xw
+    if np.linalg.matrix_rank(xtx, tol=None) < xw.shape[1]:
+        raise RankDeficientError("design matrix is rank deficient")
+    beta = np.linalg.solve(xtx, xw.T @ yw)
+    resid = yw - xw @ beta
+    return beta, np.linalg.inv(xtx), float(resid @ resid)
+
+
+def estimate_phase(series, species: ClockSpecies) -> PhaseEstimate:
+    """estimation.estimate_phase on one series alone: one 2-D weighted least
+    squares, its checks made one after another."""
+    if np.any(series.batch_size <= 0):
+        raise EstimationError("series contains empty batches")
+    if np.unique(series.times).shape[0] < 3:
+        raise blame(RankDeficientError("phase fit needs at least 3 distinct sample times"),
+                    "n_points")
+    t = series.times
+    y = series.p_hat()
+    w = 1.0 / _binomial_variance(series.count_pos, series.batch_size)
+    wt = species.omega * t
+    x = np.column_stack([np.cos(wt), np.sin(wt), np.ones_like(t)])
+    beta, cov, chi2 = _weighted_lstsq(x, y, w)
+    a, b, _c = beta
+    r2 = a * a + b * b
+    if r2 <= 0.0:
+        raise EstimationError("oscillation amplitude is zero; phase undefined")
+    phase = math.atan2(-b, a)
+    # delta method on phase = atan2(-b, a)
+    grad = np.array([b / r2, -a / r2, 0.0])
+    var = float(grad @ cov @ grad)
+    return PhaseEstimate(
+        phase=normalize_phase(phase),
+        sigma=math.sqrt(max(var, 0.0)),
+        n_samples_used=len(series),
+        residual=chi2,
+    )

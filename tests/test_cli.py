@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -439,6 +440,19 @@ class TestBaselineMode:
         assert [repr(c["rms_error_qcs"]) for c in cells] == [
             "0.05992290841421914", "0.05878112498616813",
             "0.05992291032823209", "0.05878303828482835"]
+
+    def test_qcs_seeds_are_the_per_run_seeds(self):
+        # derived once per sweep, they seed every cell's runs as a fresh
+        # SeedSequence spawn per run would
+        quantum, channel = config_module._qcs_seeds({"quantum": 11, "channel": 12}, 6)
+        for _cell in range(3):
+            for i, seed in enumerate(quantum):
+                per_run = np.random.SeedSequence(11).spawn(6)[i]
+                assert (np.random.default_rng(seed).bit_generator.state
+                        == np.random.default_rng(per_run).bit_generator.state)
+                per_run = np.random.SeedSequence(12).spawn(1)[0]
+                assert (np.random.default_rng(channel).bit_generator.state
+                        == np.random.default_rng(per_run).bit_generator.state)
 
     @pytest.mark.parametrize("value", ["abc", 12.5])
     def test_non_integer_n_trials_rejected(self, tmp_path, capsys, value):

@@ -1,7 +1,11 @@
 import math
 
 import numpy as np
+import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import _weighted_lstsq
 
 from qclocksync.ensemble import PopulationSeries
 from qclocksync.errors import EstimationError, InconclusiveError, RankDeficientError
@@ -10,11 +14,12 @@ from qclocksync.estimation import (
     _beat_weights,
     _bounded_brent,
     _profile_chi2,
-    _weighted_lstsq,
     beat_difference,
     envelope_phase,
+    PhaseEstimate,
     estimate_phase,
     first_envelope_maximum,
+    fit_phases,
 )
 from qclocksync.quantum import ClockSpecies, circular_difference
 
@@ -113,6 +118,104 @@ class TestEstimatePhase:
         series = _synthetic_series(CS.omega, 0.4, times)
         with pytest.raises(RankDeficientError):
             estimate_phase(series, CS)
+
+
+def _plain_fit(series, omega):
+    """oracle.estimate_phase's estimate, or the EstimationError it raises."""
+    try:
+        return oracle.estimate_phase(series, ClockSpecies("cs", omega))
+    except EstimationError as exc:
+        return exc
+
+
+def _assert_same_fit(got, want):
+    """got has want's bits, or is an error of want's type, message and param."""
+    if isinstance(want, EstimationError):
+        assert type(got) is type(want)
+        assert (str(got), getattr(got, "param", None)) == (str(want), getattr(want, "param", None))
+    else:
+        assert type(got) is PhaseEstimate
+        for name in ("phase", "sigma", "residual", "n_samples_used"):
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
+def _assert_stack_is_plain(series, omegas):
+    fits = fit_phases(series, omegas)
+    assert len(fits) == len(series)
+    for one, omega, fit in zip(series, omegas, fits):
+        want = _plain_fit(one, omega)
+        _assert_same_fit(fit, want)
+        try:  # the one-series form
+            alone = estimate_phase(one, ClockSpecies("cs", omega))
+        except EstimationError as exc:
+            alone = exc
+        _assert_same_fit(alone, want)
+
+
+def _counts(times, batch, count_pos):
+    b = np.broadcast_to(np.asarray(batch, dtype=np.float64), np.shape(times))
+    c = np.broadcast_to(np.asarray(count_pos, dtype=np.float64), np.shape(times))
+    return PopulationSeries(times, c, b - c, b)
+
+
+class TestFitPhases:
+    """fit_phases stacks series of one length into one solve; every fit must
+    have the bits, and every failure the type and message, of the plain
+    per-series fit in tests/oracle.py."""
+
+    def test_sweep_sized_stack_is_plain(self):
+        # a baseline-sweep cell: 20 runs x 2 parties, 10 points of 500 pairs
+        rng = np.random.default_rng(90)
+        times = np.linspace(0.0, 6.0, 10)
+        series = [_synthetic_series(1.0, rng.uniform(0, 2 * math.pi), times + shift, 500, rng)
+                  for shift in (0.0, 3.3e-6) for _ in range(20)]
+        _assert_stack_is_plain(series, [1.0] * 40)
+
+    def test_mixed_stack_is_plain(self):
+        rng = np.random.default_rng(91)
+        times = np.linspace(0.05, 4.0, 12)
+        good = [_synthetic_series(omega, rng.uniform(0, 2 * math.pi), times, batch, rng)
+                for omega, batch in ((3.0, 400), (1.3, 50), (2.2, 5000))]
+        series = [
+            good[0],
+            _synthetic_series(3.0, 0.1, [0.3, 0.9]),  # 2 distinct times
+            _counts(np.repeat([0.3, 0.9], 6), 400, 100.0),  # 12 points, 2 distinct
+            _counts(times, np.where(np.arange(12) == 5, 0, 400), 0.0),  # an empty batch
+            good[1],
+            # omega * t stepping by 2 pi: constant cos and sin columns
+            _synthetic_series(3.0, 0.4, np.arange(1, 13) * (2 * math.pi / 3.0)),
+            _counts(times, 400, 0.0),  # no pos counts: amplitude exactly zero
+            _counts(np.array([]), 400, 0.0),  # no points at all
+            _synthetic_series(3.0, 0.7, np.linspace(0.05, 4.0, 25)),  # a length of its own
+            good[2],
+        ]
+        omegas = [3.0, 3.0, 3.0, 3.0, 1.3, 3.0, 3.0, 3.0, 3.0, 2.2]
+        fits = fit_phases(series, omegas)
+        assert [type(f).__name__ for f in fits] == [
+            "PhaseEstimate", "RankDeficientError", "RankDeficientError", "EstimationError",
+            "PhaseEstimate", "RankDeficientError", "EstimationError", "RankDeficientError",
+            "PhaseEstimate", "PhaseEstimate"]
+        _assert_stack_is_plain(series, omegas)
+
+    def test_empty_call(self):
+        assert fit_phases([], []) == []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([1.0, 3.0, 2 * math.pi]),
+        st.lists(st.tuples(st.sampled_from([0.0, 0.25, 1.0, 1.7, 2.0, 3.5]),
+                           st.integers(0, 60), st.just(0.0) | st.floats(0.0, 1.0)),
+                 max_size=7)), max_size=12))
+    def test_any_stack_is_plain(self, runs):
+        # few sample times, so repeated and whole-period times are common, and
+        # pos fractions of 0, so zero-amplitude series are too
+        series, omegas = [], []
+        for omega, points in runs:
+            batch = np.array([p[1] for p in points], dtype=np.float64)
+            count_pos = np.floor(batch * np.array([p[2] for p in points]))
+            series.append(_counts(np.array([p[0] for p in points]), batch, count_pos))
+            omegas.append(omega)
+        _assert_stack_is_plain(series, omegas)
 
 
 class TestBeatDifference:

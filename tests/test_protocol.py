@@ -534,12 +534,23 @@ def _fail_on_call(monkeypatch, name, call):
 class TestFitFailures:
     """A fit that cannot be made ends the run inconclusive, naming the fit."""
 
-    def test_bob_phase_fit(self, monkeypatch):
-        _fail_on_call(monkeypatch, "estimate_phase", 2)
+    # a run's phases come from one stacked call: Alice's series, then Bob's
+    @pytest.mark.parametrize("index,fit", [(0, "alice_phase"), (1, "bob_phase")],
+                             ids=["alice_phase", "bob_phase"])
+    def test_phase_fit(self, monkeypatch, index, fit):
+        fit_phases = estimation.fit_phases
+
+        def failing(series, omegas):
+            assert len(series) == 2
+            fits = fit_phases(series, omegas)
+            fits[index] = EstimationError("no fit")
+            return fits
+
+        monkeypatch.setattr(estimation, "fit_phases", failing)
         result, *_ = _run()
-        assert (result.status, result.reason) == ("inconclusive", "bob_phase fit failed: no fit")
+        assert (result.status, result.reason) == ("inconclusive", f"{fit} fit failed: no fit")
         out = result.species_outcomes["cs"]
-        assert out.alice_phase is not None and out.bob_phase is None
+        assert (out.alice_phase is None) == (index == 0) and out.bob_phase is None
 
     @pytest.mark.parametrize("call,fit", [(1, "envelope_a"), (2, "envelope_b")])
     def test_envelope_fit(self, monkeypatch, call, fit):

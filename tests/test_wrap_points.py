@@ -72,3 +72,35 @@ def test_traced_counts_match_the_transcript(tmp_path, monkeypatch, capsys):
     assert counts == {"sample_batch": len(samples),
                       "pairs": sum(rec["batch_size"] for rec in samples),
                       "envelope_phase": 4}
+
+
+# a small baseline sweep: 2 cells x 3 runs of the default QCS cell, whose
+# 2 parties each take 10 batches of 500 pairs
+SWEEP_RUN = {
+    "mode": "baseline_sweep",
+    "baseline": {"sigma_grid": [1e-6], "distance_grid": [1e3, 1e6], "n_trials": 10,
+                 "n_qcs_seeds": 3},
+    "seeds": {"quantum": 8, "channel": 9},
+}
+
+
+def test_traced_sweep_counts_match_the_benchmarks(tmp_path, monkeypatch, capsys):
+    # A sweep writes no transcript: the traced benchmark expects cells x
+    # n_qcs_seeds x 2 parties x n_points sample_batch calls, each of
+    # batch_size pairs (perfbench/run.py, _expected_samples).
+    counts = {"sample_batch": 0, "pairs": 0}
+    sample_batch = protocol.sample_batch
+
+    def traced_sample_batch(*args, **kwargs):
+        counts["sample_batch"] += 1
+        out = sample_batch(*args, **kwargs)
+        counts["pairs"] += out[1]
+        return out
+
+    monkeypatch.setattr(protocol, "sample_batch", traced_sample_batch)
+    path, out = tmp_path / "bs.yaml", tmp_path / "out"
+    path.write_text(yaml.safe_dump(SWEEP_RUN))
+    assert cli.main(["run", str(path), "-o", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["n_cells"] == 2
+    calls = 2 * 3 * 2 * 10
+    assert counts == {"sample_batch": calls, "pairs": calls * 500}

@@ -9,10 +9,12 @@ beat-envelope fit profiles the single nonlinear fast-phase parameter over a
 grid and polishes it with an in-tree bounded Brent minimization
 (_bounded_brent); for each candidate fast phase the envelope parameters are
 an exact linear subproblem.
-The grid's chi2 values come in one closed-form array pass (_profile_chi2):
-expanding the fast factor in cos/sin of the fast phase turns every grid
-point's 2x2 normal equations into quadratic forms over one 4x4 Gram matrix.
-The polish and the final fit solve the subproblem directly (_whitened_lstsq).
+The envelope fit reads its data points once: expanding the fast factor in
+cos/sin of the fast phase makes every candidate's 2x2 normal equations
+quadratic forms over one 4x4 Gram matrix of a weighted basis (_profile).
+The grid, every polish step, the coefficients and their covariance come
+from that matrix in closed form; only the reported residual takes one more
+product with the basis.
 """
 
 from __future__ import annotations
@@ -69,38 +71,22 @@ def _binomial_variance(count_pos: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return p_shrunk * (1.0 - p_shrunk) / batch
 
 
-def _whitened_lstsq(xw: np.ndarray, yw: np.ndarray):
-    """Solve min_b |yw - xw b|^2, for a design and data already scaled by the
-    square roots of the weights; returns (beta, normal matrix, chi2)."""
-    xtx = xw.T @ xw
-    if np.linalg.matrix_rank(xtx, tol=None) < xw.shape[1]:
-        raise RankDeficientError("design matrix is rank deficient")
-    beta = np.linalg.solve(xtx, xw.T @ yw)
-    resid = yw - xw @ beta
-    return beta, xtx, float(resid @ resid)
-
-
-def _profile_chi2(ce: np.ndarray, se: np.ndarray, wft: np.ndarray, y: np.ndarray,
-                  w: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """chi2 of the envelope's linear subproblem at each fast phase in psi.
+def _profile(gram: np.ndarray, moment: np.ndarray, yy: float, psi):
+    """chi2 and coefficients (P, Q) of the envelope's linear subproblem at
+    each fast phase in psi (an array, or one float).
 
     Column k of the design at fast phase p is env_k * sin(wft + p), with env =
     (ce, se). Since sin(wft + p) = sin(wft) cos p + cos(wft) sin p, its normal
     matrix A(p) and right side b(p) are quadratic and linear forms in
     (cos p, sin p) over the Gram matrix and moment vector of the weighted
-    basis [ce sf, ce cf, se sf, se cf]: O(n) work, then O(len(psi)). chi2 is
-    yw.yw - b^T A^-1 b with the closed-form 2x2 inverse. A point that fails
-    _whitened_lstsq's rank rule gets inf, so no NaN reaches an argmin.
+    basis (_envelope_basis), and yy is the weighted data's own square. With
+    the closed-form 2x2 inverse, (P, Q) = A^-1 b and chi2 = yy - b^T A^-1 b.
+    A point whose A fails numpy's matrix_rank test gets chi2 inf, so no NaN
+    reaches an argmin; its (P, Q) mean nothing.
     """
-    sw = np.sqrt(w)
-    sf, cf = np.sin(wft), np.cos(wft)
-    basis = np.column_stack([ce * sf, ce * cf, se * sf, se * cf]) * sw[:, None]
-    yw = y * sw
-    gram = basis.T @ basis
-    moment = basis.T @ yw
     c, s = np.cos(psi), np.sin(psi)
 
-    def form(block):  # (c, s) block (c, s)^T for every grid point
+    def form(block):  # (c, s) block (c, s)^T at every psi
         return (block[0, 0] * c * c + (block[0, 1] + block[1, 0]) * c * s
                 + block[1, 1] * s * s)
 
@@ -112,7 +98,9 @@ def _profile_chi2(ce: np.ndarray, se: np.ndarray, wft: np.ndarray, y: np.ndarray
     det = a11 * a22 - a12 * a12
     with np.errstate(divide="ignore", invalid="ignore"):  # det is 0 where rank < 2
         explained = (a22 * b1 * b1 - 2.0 * a12 * b1 * b2 + a11 * b2 * b2) / det
-    return np.where(full_rank, yw @ yw - explained, math.inf)
+        p_coef = (a22 * b1 - a12 * b2) / det
+        q_coef = (a11 * b2 - a12 * b1) / det
+    return np.where(full_rank, yy - explained, math.inf), p_coef, q_coef
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -309,6 +297,19 @@ def _beat_weights(beats: BeatSeries) -> np.ndarray:
     return 1.0 / np.maximum(beats.sigma, floor) ** 2
 
 
+def _envelope_basis(beats: BeatSeries, omega1: float, omega2: float):
+    """The weighted basis sqrt(w) [ce sf, ce cf, se sf, se cf] of an envelope
+    fit, as an (n, 4) array, and the weighted data sqrt(w) y; ce, se are the
+    cos, sin of the envelope argument w_e t and cf, sf those of the fast
+    argument w_f t."""
+    w_e, w_f = abs(omega1 - omega2) / 2.0, (omega1 + omega2) / 2.0
+    t = beats.times
+    ce, se = np.cos(w_e * t), np.sin(w_e * t)
+    sf, cf = np.sin(w_f * t), np.cos(w_f * t)
+    sw = np.sqrt(_beat_weights(beats))
+    return np.column_stack([ce * sf, ce * cf, se * sf, se * cf]) * sw[:, None], beats.diff * sw
+
+
 def check_envelope_grid(times, omega1: float, omega2: float) -> None:
     """Raise EstimationError unless envelope_phase can fit beats sampled at
     these ascending times: 5 points at least (the error's param is then
@@ -328,47 +329,34 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
 
     Model: diff(t) = E sin(w_e t + psi_env) sin(w_f t + psi_fast) with
     w_e = |omega1 - omega2|/2 and w_f = (omega1 + omega2)/2. For fixed
-    psi_fast the model is linear in (E sin psi_env, E cos psi_env), so
-    psi_fast is profiled over a 96-point grid on [0, pi), all of whose chi2
-    values come from one closed-form array pass (_profile_chi2); a bounded
-    Brent minimization (_bounded_brent) then refines it between the best
-    point's neighbours, solving the subproblem directly: its objective
-    takes the weighted data and the fast argument w_f t, computed once, and
-    computes no covariance, which the chi2 does not need. psi_env comes from
-    the linear subproblem at the optimum. The (psi_env, psi_fast) ->
-    (psi_env + pi, psi_fast + pi) ambiguity is resolved on psi_env alone,
-    which keeps the returned phase independent of any basis-phase offset
-    hiding in psi_fast.
+    psi_fast the model is linear in (P, Q) = (E sin psi_env, E cos psi_env).
+    One pass over the data builds the 4x4 Gram matrix and moment vector of
+    the weighted basis (_envelope_basis); everything else is closed form in
+    them (_profile). psi_fast is profiled over a 96-point grid on [0, pi)
+    and refined by a bounded Brent minimization (_bounded_brent) between
+    the best point's neighbours; (P, Q) are the subproblem's solution at the
+    optimum. The Jacobian of the model in (P, Q, psi_fast) is the basis
+    times a 4x3 matrix M, so its normal matrix is M^T Gram M. The residual
+    is taken directly, from one product of the basis with the coefficients.
+    The (psi_env, psi_fast) -> (psi_env + pi, psi_fast + pi) ambiguity is
+    resolved on psi_env alone, which keeps the returned phase independent of
+    any basis-phase offset hiding in psi_fast.
     """
     if omega1 == omega2:
         raise EstimationError("envelope extraction needs two distinct frequencies")
     check_envelope_grid(beats.times, omega1, omega2)
-    w_e = abs(omega1 - omega2) / 2.0
-    w_f = (omega1 + omega2) / 2.0
-    t = beats.times
-    w = _beat_weights(beats)
-    ce, se = np.cos(w_e * t), np.sin(w_e * t)
-    wft = w_f * t
-    sw = np.sqrt(w)
-    yw = beats.diff * sw
-
-    def linear_fit(psi_fast: float):
-        s = np.sin(wft + psi_fast)
-        return _whitened_lstsq(np.column_stack([ce * s, se * s]) * sw[:, None], yw)
-
-    def chi2(psi_fast: float) -> float:
-        try:
-            return linear_fit(psi_fast)[2]
-        except RankDeficientError:
-            return math.inf
+    basis, yw = _envelope_basis(beats, omega1, omega2)
+    gram, moment, yy = basis.T @ basis, basis.T @ yw, float(yw @ yw)
 
     grid = np.linspace(0.0, math.pi, 97)[:-1]
-    k = int(np.argmin(_profile_chi2(ce, se, wft, beats.diff, w, grid)))
+    k = int(np.argmin(_profile(gram, moment, yy, grid)[0]))
     step = grid[1] - grid[0]
-    psi_fast = _bounded_brent(chi2, grid[k] - step, grid[k] + step, xatol=1e-12)
-    beta, _xtx, chi2_min = linear_fit(psi_fast)
-    p_coef, q_coef = beta  # E sin(psi_env), E cos(psi_env)
-    amp = math.hypot(p_coef, q_coef)
+    psi_fast = _bounded_brent(lambda psi: float(_profile(gram, moment, yy, psi)[0]),
+                              grid[k] - step, grid[k] + step, xatol=1e-12)
+    chi2_min, p_coef, q_coef = (float(v) for v in _profile(gram, moment, yy, psi_fast))
+    if chi2_min == math.inf:
+        raise RankDeficientError("design matrix is rank deficient")
+    amp = math.hypot(p_coef, q_coef)  # P, Q = E sin(psi_env), E cos(psi_env)
     if amp == 0.0:
         raise EstimationError("envelope amplitude is zero; phase undefined")
     noise_floor = float(np.median(beats.sigma))
@@ -377,17 +365,18 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
             f"envelope amplitude {amp:.3g} below noise floor 3 x {noise_floor:.3g}"
         )
 
-    # full covariance over (P, Q, psi_fast) at the optimum
-    s = np.sin(wft + psi_fast)
-    cfast = np.cos(wft + psi_fast)
-    j = np.column_stack([ce * s, se * s, (p_coef * ce + q_coef * se) * cfast])
-    jtj = (j * sw[:, None]).T @ (j * sw[:, None])
+    # full covariance over (P, Q, psi_fast) at the optimum: Jacobian = basis @ m
+    c, s = math.cos(psi_fast), math.sin(psi_fast)
+    m = np.array([[c, 0.0, -p_coef * s], [s, 0.0, p_coef * c],
+                  [0.0, c, -q_coef * s], [0.0, s, q_coef * c]])
+    jtj = m.T @ gram @ m
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj)
     grad = np.array([q_coef / amp**2, -p_coef / amp**2, 0.0])
     var = float(grad @ cov @ grad)
+    resid = yw - basis @ (m[:, :2] @ [p_coef, q_coef])  # model = basis @ (Pc, Ps, Qc, Qs)
 
     psi_env = math.atan2(p_coef, q_coef)  # envelope E sin(w_e t + psi_env)
     psi_env = normalize_phase(psi_env)
@@ -397,7 +386,7 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
         phase=psi_env,
         sigma=math.sqrt(max(var, 0.0)),
         n_samples_used=len(beats),
-        residual=chi2_min,
+        residual=float(resid @ resid),
     )
 
 

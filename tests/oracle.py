@@ -7,7 +7,9 @@ and the P = 1/2 collapse); the tests check those closed forms against this
 brute-force state-vector computation, and channels.es_rms_error against a
 loop of einstein_sync calls. The series writer, the transcript encoder, the
 batch sampler and the stacked phase fit of a run must give the bytes,
-counts, draws and fits of the plain forms at the end of this file. Nothing here is used by a run.
+counts, draws and fits of the plain forms at the end of this file, and its
+closed-form envelope fit must come close to the per-point-solve fit there.
+Nothing here is used by a run.
 
 States are stored as complex amplitude vectors (length 2 or 4) and compared
 via fidelity |<a|b>|, never amplitude-wise: a physical state is a ray, not a
@@ -25,9 +27,10 @@ import numpy as np
 
 from qclocksync.channels import SPEED_OF_LIGHT, MediumModel
 from qclocksync.ensemble import TYPE_I, TYPE_II, pos_probability
-from qclocksync.errors import (EstimationError, ProtocolOrderError, QcsError,
-                               RankDeficientError, blame)
-from qclocksync.estimation import PhaseEstimate, _binomial_variance
+from qclocksync.errors import (EstimationError, InconclusiveError, ProtocolOrderError,
+                               QcsError, RankDeficientError, blame)
+from qclocksync.estimation import (PhaseEstimate, _beat_weights, _binomial_variance,
+                                   _bounded_brent, check_envelope_grid)
 from qclocksync.quantum import ClockSpecies, normalize_phase
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -313,3 +316,69 @@ def estimate_phase(series, species: ClockSpecies) -> PhaseEstimate:
         n_samples_used=len(series),
         residual=chi2,
     )
+
+
+def envelope_subproblem(beats, omega1: float, omega2: float):
+    """The envelope's linear subproblem, solved directly: a function of the
+    fast phase that returns _weighted_lstsq's (beta, covariance, chi2) for
+    beta = (E sin psi_env, E cos psi_env)."""
+    w_e, w_f = abs(omega1 - omega2) / 2.0, (omega1 + omega2) / 2.0
+    t, w = beats.times, _beat_weights(beats)
+    ce, se = np.cos(w_e * t), np.sin(w_e * t)
+    wft = w_f * t
+
+    def linear_fit(psi_fast: float):
+        s = np.sin(wft + psi_fast)
+        return _weighted_lstsq(np.column_stack([ce * s, se * s]), beats.diff, w)
+
+    return linear_fit
+
+
+def envelope_phase(beats, omega1: float, omega2: float) -> PhaseEstimate:
+    """estimation.envelope_phase with one direct solve of the n-row design
+    per fast phase: at each of the 96 grid points, at each step of the
+    bounded Brent polish and at the optimum; the covariance comes from the
+    n-row Jacobian."""
+    if omega1 == omega2:
+        raise EstimationError("envelope extraction needs two distinct frequencies")
+    check_envelope_grid(beats.times, omega1, omega2)
+    linear_fit = envelope_subproblem(beats, omega1, omega2)
+
+    def chi2(psi_fast: float) -> float:
+        try:
+            return linear_fit(psi_fast)[2]
+        except RankDeficientError:
+            return math.inf
+
+    grid = np.linspace(0.0, math.pi, 97)[:-1]
+    k = int(np.argmin([chi2(psi) for psi in grid]))
+    step = grid[1] - grid[0]
+    psi_fast = _bounded_brent(chi2, grid[k] - step, grid[k] + step, xatol=1e-12)
+    (p_coef, q_coef), _cov, chi2_min = linear_fit(psi_fast)
+    amp = math.hypot(p_coef, q_coef)
+    if amp == 0.0:
+        raise EstimationError("envelope amplitude is zero; phase undefined")
+    noise_floor = float(np.median(beats.sigma))
+    if noise_floor > 0.0 and amp < 3.0 * noise_floor:
+        raise InconclusiveError(
+            f"envelope amplitude {amp:.3g} below noise floor 3 x {noise_floor:.3g}"
+        )
+
+    w_e, w_f = abs(omega1 - omega2) / 2.0, (omega1 + omega2) / 2.0
+    t, sw = beats.times, np.sqrt(_beat_weights(beats))
+    ce, se = np.cos(w_e * t), np.sin(w_e * t)
+    s, c = np.sin(w_f * t + psi_fast), np.cos(w_f * t + psi_fast)
+    j = np.column_stack([ce * s, se * s, (p_coef * ce + q_coef * se) * c])
+    # two weighted copies: numpy takes a.T @ a of one array by another BLAS routine
+    jtj = (j * sw[:, None]).T @ (j * sw[:, None])
+    try:
+        cov = np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        cov = np.linalg.pinv(jtj)
+    grad = np.array([q_coef / amp**2, -p_coef / amp**2, 0.0])
+    var = float(grad @ cov @ grad)
+    psi_env = normalize_phase(math.atan2(p_coef, q_coef))
+    if psi_env >= math.pi:
+        psi_env -= math.pi
+    return PhaseEstimate(phase=psi_env, sigma=math.sqrt(max(var, 0.0)),
+                         n_samples_used=len(beats), residual=chi2_min)

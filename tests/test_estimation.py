@@ -5,7 +5,6 @@ import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import _weighted_lstsq
 
 from qclocksync.ensemble import PopulationSeries
 from qclocksync.errors import EstimationError, InconclusiveError, RankDeficientError
@@ -13,7 +12,8 @@ from qclocksync.estimation import (
     BeatSeries,
     _beat_weights,
     _bounded_brent,
-    _profile_chi2,
+    _envelope_basis,
+    _profile,
     beat_difference,
     envelope_phase,
     PhaseEstimate,
@@ -311,27 +311,32 @@ class TestEnvelopePhase:
 FAST_GRID = np.linspace(0.0, math.pi, 97)[:-1]  # envelope_phase's psi_fast grid
 
 
-def _per_point_chi2(beats, omega1, omega2):
-    """Reference: one direct weighted least-squares solve per grid point."""
-    w_e, w_f = abs(omega1 - omega2) / 2.0, (omega1 + omega2) / 2.0
-    t, w = beats.times, _beat_weights(beats)
-    ce, se = np.cos(w_e * t), np.sin(w_e * t)
-    chis = []
+def _per_point_solves(beats, omega1, omega2):
+    """Reference: chi2 and (P, Q) from one direct weighted least-squares
+    solve per grid point; inf and NaN where the design is rank deficient."""
+    linear_fit = oracle.envelope_subproblem(beats, omega1, omega2)
+    chis, betas = [], []
     for psi in FAST_GRID:
-        s = np.sin(w_f * t + psi)
         try:
-            chis.append(_weighted_lstsq(np.column_stack([ce * s, se * s]), beats.diff, w)[2])
+            beta, _cov, chi2 = linear_fit(psi)
         except RankDeficientError:
-            chis.append(math.inf)
-    return np.array(chis)
+            beta, chi2 = (math.nan, math.nan), math.inf
+        chis.append(chi2)
+        betas.append(beta)
+    return np.array(chis), np.array(betas)
 
 
-def _grid_chi2(beats, omega1, omega2):
-    """The grid as envelope_phase profiles it, in one array pass."""
-    w_e, w_f = abs(omega1 - omega2) / 2.0, (omega1 + omega2) / 2.0
-    t = beats.times
-    return _profile_chi2(np.cos(w_e * t), np.sin(w_e * t), w_f * t, beats.diff,
-                         _beat_weights(beats), FAST_GRID)
+def _gram(beats, omega1, omega2):
+    """envelope_phase's Gram matrix, moment vector and yy for beats."""
+    basis, yw = _envelope_basis(beats, omega1, omega2)
+    return basis.T @ basis, basis.T @ yw, float(yw @ yw)
+
+
+def _grid_profile(beats, omega1, omega2):
+    """The grid's chi2 and (P, Q) as envelope_phase profiles them, in one
+    array pass."""
+    chi2, p_coef, q_coef = _profile(*_gram(beats, omega1, omega2), FAST_GRID)
+    return chi2, np.stack([p_coef, q_coef], axis=-1)
 
 
 def _noisy_beats(seed, batch):
@@ -357,11 +362,16 @@ def _near_floor_beats(seed):
 
 class TestProfileGrid:
     def _assert_grid_matches(self, beats, omega1, omega2):
-        ref = _per_point_chi2(beats, omega1, omega2)
-        vec = _grid_chi2(beats, omega1, omega2)
+        ref, ref_beta = _per_point_solves(beats, omega1, omega2)
+        vec, beta = _grid_profile(beats, omega1, omega2)
         assert not np.isnan(vec).any()
         np.testing.assert_allclose(vec, ref, rtol=1e-10, atol=0.0)
         assert np.argmin(vec) == np.argmin(ref)
+        # rtol on the vector (P, Q): a coefficient near 0 has no relative
+        # accuracy of its own, since both fits round at the amplitude's scale
+        full = np.isfinite(ref)
+        err = np.linalg.norm(beta[full] - ref_beta[full], axis=-1)
+        assert np.all(err <= 1e-10 * np.linalg.norm(ref_beta[full], axis=-1))
 
     @pytest.mark.parametrize("batch", [20, 50, 500])
     def test_noisy_grid_equals_per_point_solves(self, batch):
@@ -380,29 +390,56 @@ class TestProfileGrid:
         # all times 0: the se column vanishes, so every grid point's normal
         # matrix is singular and its closed-form chi2 is 0/0; none is NaN
         beats = BeatSeries(np.zeros(8), np.full(8, 0.1), np.full(8, 0.01))
-        assert np.all(np.isposinf(_grid_chi2(beats, OMEGA1, OMEGA2)))
-        assert np.all(np.isposinf(_per_point_chi2(beats, OMEGA1, OMEGA2)))
+        assert np.all(np.isposinf(_grid_profile(beats, OMEGA1, OMEGA2)[0]))
+        assert np.all(np.isposinf(_per_point_solves(beats, OMEGA1, OMEGA2)[0]))
         with pytest.raises(RankDeficientError):
             envelope_phase(beats, OMEGA1, OMEGA2)
 
 
+def _profile_grid_series():
+    """The 251 series TestProfileGrid checks, as (beats, omega1, omega2)."""
+    for batch in (20, 50, 500):
+        for seed in range(70):
+            yield _noisy_beats(8000 + 100 * batch + seed, batch)
+    yield _beat_series(OMEGA1, OMEGA2, 0.7, np.linspace(0.02, 25.0, 600)), OMEGA1, OMEGA2
+    for seed in range(40):
+        yield _near_floor_beats(9000 + seed), OMEGA1, OMEGA2
+
+
+def _outcome(fit, *args):
+    try:
+        return fit(*args)
+    except (EstimationError, InconclusiveError) as exc:
+        return exc
+
+
+class TestEnvelopeReference:
+    def test_closed_form_fit_is_close_to_per_point_fit(self):
+        """envelope_phase against the per-point-solve fit of the oracle: the
+        same outcome, and estimates that differ by last-bit chi2 noise."""
+        for beats, omega1, omega2 in _profile_grid_series():
+            got = _outcome(envelope_phase, beats, omega1, omega2)
+            want = _outcome(oracle.envelope_phase, beats, omega1, omega2)
+            assert type(got) is type(want)
+            if not isinstance(want, PhaseEstimate):
+                continue
+            shift = circular_difference(got.phase, want.phase, period=math.pi)
+            assert abs(shift) <= 1e-6 * want.sigma
+            assert got.sigma == pytest.approx(want.sigma, rel=1e-7, abs=0.0)
+            yy = float(np.sum(_beat_weights(beats) * beats.diff ** 2))
+            assert 0.0 <= got.residual
+            assert abs(got.residual - want.residual) <= 1e-9 * yy
+            assert got.n_samples_used == want.n_samples_used
+
+
 def _polish_problem(beats, omega1, omega2):
-    """envelope_phase's polish: its chi2 closure and the bracket of +-1 grid
-    step around the grid's argmin."""
-    w_e, w_f = abs(omega1 - omega2) / 2.0, (omega1 + omega2) / 2.0
-    t, w = beats.times, _beat_weights(beats)
-    ce, se = np.cos(w_e * t), np.sin(w_e * t)
-
-    def chi2(psi_fast):
-        s = np.sin(w_f * t + psi_fast)
-        try:
-            return _weighted_lstsq(np.column_stack([ce * s, se * s]), beats.diff, w)[2]
-        except RankDeficientError:
-            return math.inf
-
-    k = int(np.argmin(_grid_chi2(beats, omega1, omega2)))
+    """envelope_phase's polish: its closed-form chi2 objective and the
+    bracket of +-1 grid step around the grid's argmin."""
+    gram, moment, yy = _gram(beats, omega1, omega2)
+    k = int(np.argmin(_profile(gram, moment, yy, FAST_GRID)[0]))
     step = FAST_GRID[1] - FAST_GRID[0]
-    return chi2, FAST_GRID[k] - step, FAST_GRID[k] + step
+    return (lambda psi: float(_profile(gram, moment, yy, psi)[0]),
+            FAST_GRID[k] - step, FAST_GRID[k] + step)
 
 
 class TestBoundedBrent:

@@ -392,8 +392,8 @@ class TestLabelPath:
             cfg, ensembles, alice, bob, ChannelModel(base_delay=0.01), schedules,
             np.random.default_rng(31), np.random.default_rng(32), transcript)
         assert result.status == "ok"
-        assert result.t_origin_a == 15.786205646991162
-        assert result.t_origin_b == 15.878283604898135
+        assert result.t_origin_a == 15.786205650307975
+        assert result.t_origin_b == 15.878283604839888
         assert result.species_outcomes["tone1"].n_type_i == 9981
         assert result.species_outcomes["tone2"].n_type_i == 10100
         assert len(transcript.records) == 246
@@ -501,6 +501,28 @@ class TestTimeOrigin:
         scored = score_time_origin(result, alice, bob)
         spread = math.hypot(result.t_origin_sigma_a, result.t_origin_sigma_b)
         assert abs(scored.sync_error) < 4 * spread
+
+    def test_refit_returns_the_run_envelopes(self, monkeypatch):
+        # first_envelope_maximum fits each party's beats again (calls 3 and
+        # 4), and gets back bit for bit the envelopes the run already has
+        envelope_phase, fits = estimation.envelope_phase, []
+
+        def recording(*args):
+            fits.append(envelope_phase(*args))
+            return fits[-1]
+
+        monkeypatch.setattr(estimation, "envelope_phase", recording)
+        cfg = TimeOriginConfig(omega1=2.0, delta_omega=0.2, protocol_duration_T=7.0)
+        ensembles, alice, bob, schedules = _two_freq_setup(n_pairs=20_000, n_points=60,
+                                                           batch=150)
+        result = establish_time_origin(cfg, ensembles, alice, bob, IDEAL, schedules,
+                                       np.random.default_rng(40), np.random.default_rng(41))
+        assert result.status == "ok" and len(fits) == 4
+        for refit, fit in ((fits[2], result.envelope_a), (fits[3], result.envelope_b)):
+            assert refit.phase.hex() == fit.phase.hex()
+            assert refit.sigma.hex() == fit.sigma.hex()
+            assert refit.residual.hex() == fit.residual.hex()
+            assert refit.n_samples_used == fit.n_samples_used
 
     def test_mismatched_ensemble_frequencies_rejected(self):
         cfg = TimeOriginConfig(omega1=2.0, delta_omega=0.3, protocol_duration_T=5.0)

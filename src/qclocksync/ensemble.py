@@ -172,7 +172,8 @@ class SubensembleHandle:
 
 
 def select_subensemble(ensemble: Ensemble, labels) -> SubensembleHandle:
-    """Handle over the named pairs, in ascending label order.
+    """Handle over the named pairs, in ascending label order; a label named
+    twice is a ValueError.
 
     Only lifecycle is checked (pairs must be collapsed; sample_batch rejects
     consumed ones): a party cannot locally verify Type I vs Type II, so the
@@ -181,6 +182,9 @@ def select_subensemble(ensemble: Ensemble, labels) -> SubensembleHandle:
     labels = np.asarray(labels, dtype=np.int64)
     if not np.all(labels[1:] > labels[:-1]):  # both parties' label sets arrive sorted
         labels = np.sort(labels)
+        repeated = labels[1:][labels[1:] == labels[:-1]]
+        if repeated.shape[0]:  # sample_batch would measure that pair twice
+            raise ValueError(f"repeated pair label {int(repeated[0])}")
     if labels.shape[0] == 0:
         return SubensembleHandle(ensemble, labels)
     if labels[0] < 1 or labels[-1] > ensemble.n_pairs:

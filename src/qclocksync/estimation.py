@@ -5,16 +5,17 @@ so only phases are fitted. The single-tone fit is a weighted linear least
 squares in the (a, b, c) parametrization p(t) = a cos(w t) + b sin(w t) + c,
 which is convex and has no initialization sensitivity; fit_phases fits
 many series in one stacked solve, each with the bits of its own fit. The
-beat-envelope fit profiles the single nonlinear fast-phase parameter over a
-grid and polishes it with an in-tree bounded Brent minimization
-(_bounded_brent); for each candidate fast phase the envelope parameters are
-an exact linear subproblem.
+beat-envelope fit has one nonlinear parameter, the fast phase; for each
+fast phase the envelope parameters are an exact linear subproblem, so they
+are projected out and the fast phase's profile chi2 is minimized alone.
 The envelope fit reads its data points once: expanding the fast factor in
 cos/sin of the fast phase makes every candidate's 2x2 normal equations
 quadratic forms over one 4x4 Gram matrix of a weighted basis (_profile).
-The grid, every polish step, the coefficients and their covariance come
-from that matrix in closed form; only the reported residual takes one more
-product with the basis.
+The profile is then a rational function of tan(fast phase), and its
+minimum lies among the real roots of one sextic (_stationary_phases), so
+the fast phase, the coefficients and their covariance come from that
+matrix in closed form, with no search; only the reported residual takes
+one more product with the basis.
 """
 
 from __future__ import annotations
@@ -103,73 +104,29 @@ def _profile(gram: np.ndarray, moment: np.ndarray, yy: float, psi):
     return np.where(full_rank, yy - explained, math.inf), p_coef, q_coef
 
 
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_SQRT_EPS = math.sqrt(2.2e-16)
+def _stationary_phases(gram: np.ndarray, moment: np.ndarray) -> np.ndarray:
+    """The fast phases in [0, pi) where _profile's chi2 may be least: its
+    stationary points, and pi/2.
 
-
-def _bounded_brent(f, a: float, b: float, xatol: float) -> float:
-    """Minimizer of f on [a, b] by Brent's bounded method: golden-section
-    steps, with parabolic steps through the three best points where those
-    are safe. It takes the steps of scipy's minimize_scalar(method="bounded")
-    one for one (scipy.optimize._optimize._minimize_scalar_bounded), so it
-    evaluates f at the same points and returns the same bits; at most 500
-    evaluations of f.
+    With x = tan p, _profile's A(p) and b(p) over cos p are quadratic and
+    linear in x, so its explained part b^T A^-1 b is num(x)/det(x), with
+    det = a11 a22 - a12^2 and num = a22 b1^2 - 2 a12 b1 b2 + a11 b2^2 both
+    quartics. The stationary points are the real roots of the Wronskian
+    num' det - num det', whose x^7 terms cancel exactly: a sextic. Every
+    root's real part is a candidate, so roots that rounding pushed off the
+    real axis count too, and pi/2 stands for x = inf.
     """
-    a, b = float(a), float(b)
-    fulc = nfc = xf = a + _GOLDEN * (b - a)
-    rat = e = 0.0
-    fx = ffulc = fnfc = f(xf)
-    num = 1
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while abs(xf - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:  # try a parabola through xf, nfc and fulc
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
-                golden = False
-                rat = p / q
-                x = xf + rat
-                if x - a < tol2 or b - x < tol2:  # too close to a bound
-                    rat = tol1 if xm >= xf else -tol1
-        if golden:
-            e = (a if xf >= xm else b) - xf
-            rat = _GOLDEN * e
-        x = xf + (1.0 if rat >= 0.0 else -1.0) * max(abs(rat), tol1)
-        fu = f(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= 500:
-            break
-    return xf
+    def form(block):  # (1, x) block (1, x)^T, highest power first
+        return np.array([block[1, 1], block[0, 1] + block[1, 0], block[0, 0]])
+
+    a11, a12, a22 = form(gram[:2, :2]), form(gram[:2, 2:]), form(gram[2:, 2:])
+    b1, b2 = moment[[1, 0]], moment[[3, 2]]
+    mul = np.convolve  # polynomial product, highest power first
+    det = mul(a11, a22) - mul(a12, a12)
+    num = mul(a22, mul(b1, b1)) - 2.0 * mul(a12, mul(b1, b2)) + mul(a11, mul(b2, b2))
+    wronskian = mul(np.polyder(num), det) - mul(num, np.polyder(det))
+    x = np.roots(wronskian[1:])  # the x^7 terms (4 n4) d4 and n4 (4 d4) have equal bits
+    return np.append(np.arctan(x.real) % math.pi, math.pi / 2.0)
 
 
 def _n_distinct(times: np.ndarray) -> np.ndarray:
@@ -332,12 +289,13 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
     psi_fast the model is linear in (P, Q) = (E sin psi_env, E cos psi_env).
     One pass over the data builds the 4x4 Gram matrix and moment vector of
     the weighted basis (_envelope_basis); everything else is closed form in
-    them (_profile). psi_fast is profiled over a 96-point grid on [0, pi)
-    and refined by a bounded Brent minimization (_bounded_brent) between
-    the best point's neighbours; (P, Q) are the subproblem's solution at the
-    optimum. The Jacobian of the model in (P, Q, psi_fast) is the basis
-    times a 4x3 matrix M, so its normal matrix is M^T Gram M. The residual
-    is taken directly, from one product of the basis with the coefficients.
+    them (_profile). psi_fast is the candidate of least chi2 among the
+    profile's stationary points, the real roots of one sextic in
+    tan(psi_fast), and pi/2 (_stationary_phases); (P, Q) are the
+    subproblem's solution there. The Jacobian of the model in
+    (P, Q, psi_fast) is the basis times a 4x3 matrix M, so its normal matrix
+    is M^T Gram M. The residual is taken directly, from one product of the
+    basis with the coefficients.
     The (psi_env, psi_fast) -> (psi_env + pi, psi_fast + pi) ambiguity is
     resolved on psi_env alone, which keeps the returned phase independent of
     any basis-phase offset hiding in psi_fast.
@@ -348,12 +306,10 @@ def envelope_phase(beats: BeatSeries, omega1: float, omega2: float) -> PhaseEsti
     basis, yw = _envelope_basis(beats, omega1, omega2)
     gram, moment, yy = basis.T @ basis, basis.T @ yw, float(yw @ yw)
 
-    grid = np.linspace(0.0, math.pi, 97)[:-1]
-    k = int(np.argmin(_profile(gram, moment, yy, grid)[0]))
-    step = grid[1] - grid[0]
-    psi_fast = _bounded_brent(lambda psi: float(_profile(gram, moment, yy, psi)[0]),
-                              grid[k] - step, grid[k] + step, xatol=1e-12)
-    chi2_min, p_coef, q_coef = (float(v) for v in _profile(gram, moment, yy, psi_fast))
+    psi = _stationary_phases(gram, moment)
+    chi2, p_coef, q_coef = _profile(gram, moment, yy, psi)
+    k = int(np.argmin(chi2))
+    psi_fast, chi2_min, p_coef, q_coef = (float(v[k]) for v in (psi, chi2, p_coef, q_coef))
     if chi2_min == math.inf:
         raise RankDeficientError("design matrix is rank deficient")
     amp = math.hypot(p_coef, q_coef)  # P, Q = E sin(psi_env), E cos(psi_env)

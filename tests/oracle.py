@@ -30,7 +30,7 @@ from qclocksync.ensemble import TYPE_I, TYPE_II, pos_probability
 from qclocksync.errors import (EstimationError, InconclusiveError, ProtocolOrderError,
                                QcsError, RankDeficientError, blame)
 from qclocksync.estimation import (PhaseEstimate, _beat_weights, _binomial_variance,
-                                   _bounded_brent, check_envelope_grid)
+                                   check_envelope_grid)
 from qclocksync.quantum import ClockSpecies, normalize_phase
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -335,10 +335,12 @@ def envelope_subproblem(beats, omega1: float, omega2: float):
 
 
 def envelope_phase(beats, omega1: float, omega2: float) -> PhaseEstimate:
-    """estimation.envelope_phase with one direct solve of the n-row design
-    per fast phase: at each of the 96 grid points, at each step of the
-    bounded Brent polish and at the optimum; the covariance comes from the
-    n-row Jacobian."""
+    """The envelope fit by search, with one direct solve of the n-row design
+    per fast phase: at each of 96 grid points on [0, pi), at each step of
+    scipy's bounded Brent polish between the best point's neighbours and at
+    the optimum; the covariance comes from the n-row Jacobian."""
+    from scipy.optimize import minimize_scalar
+
     if omega1 == omega2:
         raise EstimationError("envelope extraction needs two distinct frequencies")
     check_envelope_grid(beats.times, omega1, omega2)
@@ -353,7 +355,9 @@ def envelope_phase(beats, omega1: float, omega2: float) -> PhaseEstimate:
     grid = np.linspace(0.0, math.pi, 97)[:-1]
     k = int(np.argmin([chi2(psi) for psi in grid]))
     step = grid[1] - grid[0]
-    psi_fast = _bounded_brent(chi2, grid[k] - step, grid[k] + step, xatol=1e-12)
+    with np.errstate(invalid="ignore"):  # a parabola through inf values
+        psi_fast = float(minimize_scalar(chi2, bounds=(grid[k] - step, grid[k] + step),
+                                         method="bounded", options={"xatol": 1e-12}).x)
     (p_coef, q_coef), _cov, chi2_min = linear_fit(psi_fast)
     amp = math.hypot(p_coef, q_coef)
     if amp == 0.0:

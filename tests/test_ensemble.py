@@ -122,6 +122,9 @@ class TestSelection:
             select_subensemble(ens, [3, 11])
         with pytest.raises(KeyError):
             select_subensemble(ens, [0, 3])
+        with pytest.raises(ValueError, match="repeated pair label 3"):
+            select_subensemble(ens, [3, 3, 5])
+        assert not ens.consumed.any()
 
 
 class TestSampling:

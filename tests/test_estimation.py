@@ -10,10 +10,9 @@ from qclocksync.ensemble import PopulationSeries
 from qclocksync.errors import EstimationError, InconclusiveError, RankDeficientError
 from qclocksync.estimation import (
     BeatSeries,
-    _beat_weights,
-    _bounded_brent,
     _envelope_basis,
     _profile,
+    _stationary_phases,
     beat_difference,
     envelope_phase,
     PhaseEstimate,
@@ -308,7 +307,7 @@ class TestEnvelopePhase:
             envelope_phase(beats, OMEGA1, OMEGA2)
 
 
-FAST_GRID = np.linspace(0.0, math.pi, 97)[:-1]  # envelope_phase's psi_fast grid
+FAST_GRID = np.linspace(0.0, math.pi, 97)[:-1]  # a reference grid of fast phases
 
 
 def _per_point_solves(beats, omega1, omega2):
@@ -333,8 +332,8 @@ def _gram(beats, omega1, omega2):
 
 
 def _grid_profile(beats, omega1, omega2):
-    """The grid's chi2 and (P, Q) as envelope_phase profiles them, in one
-    array pass."""
+    """The reference grid's chi2 and (P, Q) from envelope_phase's closed-form
+    profile, in one array pass."""
     chi2, p_coef, q_coef = _profile(*_gram(beats, omega1, omega2), FAST_GRID)
     return chi2, np.stack([p_coef, q_coef], axis=-1)
 
@@ -406,6 +405,9 @@ def _profile_grid_series():
         yield _near_floor_beats(9000 + seed), OMEGA1, OMEGA2
 
 
+DENSE_GRID = np.linspace(0.0, math.pi, 4097)[:-1]
+
+
 def _outcome(fit, *args):
     try:
         return fit(*args)
@@ -416,64 +418,27 @@ def _outcome(fit, *args):
 class TestEnvelopeReference:
     def test_closed_form_fit_is_close_to_per_point_fit(self):
         """envelope_phase against the per-point-solve fit of the oracle: the
-        same outcome, and estimates that differ by last-bit chi2 noise."""
+        same outcome, estimates that differ by last-bit chi2 noise, and a
+        fast phase at the profile's global minimum."""
         for beats, omega1, omega2 in _profile_grid_series():
             got = _outcome(envelope_phase, beats, omega1, omega2)
             want = _outcome(oracle.envelope_phase, beats, omega1, omega2)
             assert type(got) is type(want)
+            # no point of a dense grid lies below the least chi2 among the
+            # stationary phases, which envelope_phase takes
+            gram, moment, yy = _gram(beats, omega1, omega2)
+            dense_min = np.min(_profile(gram, moment, yy, DENSE_GRID)[0])
+            fitted = np.min(_profile(gram, moment, yy, _stationary_phases(gram, moment))[0])
+            assert fitted <= dense_min + 1e-12 * yy
             if not isinstance(want, PhaseEstimate):
                 continue
+            assert got.residual <= dense_min + 1e-12 * yy
             shift = circular_difference(got.phase, want.phase, period=math.pi)
             assert abs(shift) <= 1e-6 * want.sigma
             assert got.sigma == pytest.approx(want.sigma, rel=1e-7, abs=0.0)
-            yy = float(np.sum(_beat_weights(beats) * beats.diff ** 2))
             assert 0.0 <= got.residual
             assert abs(got.residual - want.residual) <= 1e-9 * yy
             assert got.n_samples_used == want.n_samples_used
-
-
-def _polish_problem(beats, omega1, omega2):
-    """envelope_phase's polish: its closed-form chi2 objective and the
-    bracket of +-1 grid step around the grid's argmin."""
-    gram, moment, yy = _gram(beats, omega1, omega2)
-    k = int(np.argmin(_profile(gram, moment, yy, FAST_GRID)[0]))
-    step = FAST_GRID[1] - FAST_GRID[0]
-    return (lambda psi: float(_profile(gram, moment, yy, psi)[0]),
-            FAST_GRID[k] - step, FAST_GRID[k] + step)
-
-
-class TestBoundedBrent:
-    def _assert_same_as_scipy(self, f, a, b):
-        """_bounded_brent evaluates f at scipy's points and returns its bits."""
-        minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
-        ours, theirs = [], []
-        x = _bounded_brent(lambda v: ours.append(v) or f(v), a, b, xatol=1e-12)
-        with np.errstate(invalid="ignore"):  # scipy's parabola through inf values
-            res = minimize_scalar(lambda v: theirs.append(float(v)) or f(v), bounds=(a, b),
-                                  method="bounded", options={"xatol": 1e-12})
-        assert x.hex() == float(res.x).hex()
-        assert [v.hex() for v in ours] == [v.hex() for v in theirs]
-
-    @pytest.mark.parametrize("batch", [20, 50, 500])
-    def test_noisy_profiles(self, batch):
-        for seed in range(10):
-            self._assert_same_as_scipy(*_polish_problem(*_noisy_beats(8000 + 100 * batch + seed,
-                                                                       batch)))
-
-    def test_near_noise_floor_profiles(self):
-        for seed in range(10):
-            self._assert_same_as_scipy(*_polish_problem(_near_floor_beats(9000 + seed),
-                                                        OMEGA1, OMEGA2))
-
-    @pytest.mark.parametrize("f", [
-        lambda x: (x - 0.3) ** 2, lambda x: 1.0, lambda x: x, lambda x: -x,
-        lambda x: abs(x - 0.1234), lambda x: math.cos(7.0 * x),
-        lambda x: math.inf if x < 0.2 else (x - 0.25) ** 2,
-    ], ids=["quadratic", "flat", "min-at-lower-bound", "min-at-upper-bound", "kink",
-            "several-minima", "inf-below-0.2"])
-    def test_plain_functions(self, f):
-        for a, b in ((-1.0, 1.0), (0.0, math.pi / 48), (0.2, 0.2 + 1e-9), (-3.0, 2.5)):
-            self._assert_same_as_scipy(f, np.float64(a), np.float64(b))
 
 
 class TestFirstEnvelopeMaximum:
